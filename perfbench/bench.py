@@ -4,13 +4,17 @@ One process drives `milnorscope.cli.main(argv)` in a closed loop with a
 single client: the next job starts when the previous one has returned
 and its output has been checked.  The job list is fixed by the workload
 and seed (see workloads.py).  Set-up cost is measured separately, in
-fresh interpreters, because every command-line call pays it.
+fresh interpreters, because every command-line call pays it; the probes
+are spread over the run so that their median spans the machine's load
+over the run, not only at its start.
 
-With --trace 0 the run reports the end-to-end metrics.  With --trace 1 it
-runs every job twice, untraced and then with spans at every layer
-boundary (see spans.py), and reports the per-layer metrics of the traced
-runs plus the tracing overhead, the difference of the two job-second
-totals.
+With --trace 0 the run goes over the job list workloads.PASSES times and
+times each job by its fastest pass: the passes lie seconds apart, and
+the shared machine this was tuned on slows down by up to 60% for seconds
+at a time.  With --trace 1 it goes over the list once, running every job
+untraced and then with spans at every layer boundary (see spans.py), and
+reports the per-layer metrics of the traced runs plus the tracing
+overhead, the difference of the two job-second totals.
 
 The last line of standard output is the result as one JSON object; the
 lines before it list every metric by name and unit, the environment and
@@ -50,10 +54,13 @@ ROOT = HERE.parent
 SRC = ROOT / "src"
 OUT = HERE / "out"
 
-SETUP_RUNS = 5          # fresh interpreters behind one setup_s median
+SETUP_RUNS = 3          # fresh interpreters behind one setup_s median
 IMPORTTIME_RUNS = 3     # fresh interpreters under -X importtime (traced run)
 PROBE_TIMEOUT_S = 60
-DEADLINE_S = 150        # no job starts later than this into the run
+# no job starts later than DEADLINE_FACTOR * --seconds into the run, nor
+# later than DEADLINE_CAP_S, which keeps a run within 180 s
+DEADLINE_FACTOR = 4
+DEADLINE_CAP_S = 150
 P90_MIN_JOBS = 100      # p90 needs at least 10 samples beyond it
 
 # name -> unit; the names later changes refer to
@@ -93,7 +100,6 @@ class BenchError(Exception):
 class PassResult:
     seconds: list[float] = field(default_factory=list)
     failures: list[tuple[int, str, str]] = field(default_factory=list)
-    truncated: bool = False
 
     @property
     def attempted(self) -> int:
@@ -139,37 +145,42 @@ def run_job(cli, job) -> tuple[float, str | None]:
     return dt, reason
 
 
-def run_pass(cli, jobs, deadline: float) -> PassResult:
-    res = PassResult()
-    gc.collect()
-    for i, job in enumerate(jobs):
-        if time.perf_counter() > deadline:
-            res.truncated = True
-            break
-        res.add(i, job, *run_job(cli, job))
-    return res
+def run_passes(cli, jobs, passes: int, deadline: float, setup=None,
+               tracer: Tracer | None = None) -> tuple[list[PassResult], bool]:
+    """Run the job list `passes` times; return each pass and whether the
+    deadline cut the run short.
 
-
-def run_paired(cli, jobs, deadline: float, tracer: Tracer) -> tuple[PassResult, PassResult]:
-    """Each job untraced, then at once again traced.
-
-    Adjacent runs of one job see the same machine load, so the difference
-    of the two passes is the tracing overhead rather than load drift.
+    With a tracer, each job runs untraced and at once again traced, and
+    the two passes returned are the untraced and the traced runs: adjacent
+    runs of one job see the same machine load, so their difference is the
+    tracing overhead rather than load drift.  `setup`, if given, takes its
+    remaining probes at evenly spread points of the run.
     """
-    untraced, traced = PassResult(), PassResult()
-    gc.collect()
-    for i, job in enumerate(jobs):
-        if time.perf_counter() > deadline:
-            untraced.truncated = traced.truncated = True
-            break
-        untraced.add(i, job, *run_job(cli, job))
+    n = len(jobs)
+    total = passes * n
+    probe_at = set() if setup is None else {k * total // setup.runs
+                                             for k in range(1, setup.runs)}
+    results = [PassResult() for _ in range(passes if tracer is None else 2)]
+    for step in range(total):
+        p, i = divmod(step, n)
+        if step in probe_at:
+            setup.measure()
+        if i == 0:
+            gc.collect()
+        if step and time.perf_counter() > deadline:     # the first job always runs
+            return results, True
+        job = jobs[i]
+        if tracer is None:
+            results[p].add(i, job, *run_job(cli, job))
+            continue
+        results[0].add(i, job, *run_job(cli, job))
         tracer.job = i
         tracer.install()
         try:
-            traced.add(i, job, *run_job(cli, job))
+            results[1].add(i, job, *run_job(cli, job))
         finally:
             tracer.uninstall()
-    return untraced, traced
+    return results, False
 
 
 # ----------------------------------------------------------------------
@@ -188,16 +199,23 @@ def import_times(text: str) -> dict[str, float]:
     return out
 
 
-def measure_setup(job, runs: int, importtime: bool) -> tuple[list[float], list[dict]]:
-    """Seconds from spawning a fresh interpreter until the probe is ready."""
-    cmd = [sys.executable, *(["-X", "importtime"] if importtime else []),
-           str(HERE / "probe.py"), str(SRC), job.kind, job.argv[1]]
-    errpath = OUT / f"probe-{os.getpid()}.stderr"
-    times, imports = [], []
-    for _ in range(runs):
+class SetupProbe:
+    """Seconds from spawning a fresh interpreter until the probe is ready,
+    one sample per `measure` call, for the first job of the list."""
+
+    def __init__(self, job, runs: int, importtime: bool):
+        self.cmd = [sys.executable, *(["-X", "importtime"] if importtime else []),
+                    str(HERE / "probe.py"), str(SRC), job.kind, job.argv[1]]
+        self.runs = runs
+        self.importtime = importtime
+        self.times: list[float] = []
+        self.imports: list[dict[str, float]] = []
+
+    def measure(self) -> None:
+        errpath = OUT / f"probe-{os.getpid()}.stderr"
         with open(errpath, "w", encoding="utf-8") as err:
             t0 = time.perf_counter()
-            proc = subprocess.Popen(cmd, stdout=subprocess.PIPE, stderr=err,
+            proc = subprocess.Popen(self.cmd, stdout=subprocess.PIPE, stderr=err,
                                     text=True, cwd=ROOT)
             watchdog = threading.Timer(PROBE_TIMEOUT_S, proc.kill)
             watchdog.start()
@@ -213,29 +231,36 @@ def measure_setup(job, runs: int, importtime: bool) -> tuple[list[float], list[d
                     proc.wait()
                 proc.stdout.close()
         stderr = errpath.read_text(encoding="utf-8")
+        errpath.unlink()
         if line.strip() != probe.READY or proc.returncode != 0:
             tail = stderr.strip().splitlines()[-1:] or ["no output"]
             raise BenchError(f"set-up probe failed (exit {proc.returncode}): {tail[0]}")
-        times.append(t1 - t0)
-        if importtime:
-            imports.append(import_times(stderr))
-    errpath.unlink()
-    return times, imports
+        self.times.append(t1 - t0)
+        if self.importtime:
+            self.imports.append(import_times(stderr))
 
 
 # ----------------------------------------------------------------------
 # metrics
 
 
-def end_to_end(setup: list[float], res: PassResult) -> dict[str, float]:
-    good = res.attempted - len(res.failures)
+def best_seconds(passes: list[PassResult]) -> list[float]:
+    """Each job's fastest run over the passes that reached it."""
+    return [min(p.seconds[i] for p in passes if i < p.attempted)
+            for i in range(passes[0].attempted)]
+
+
+def end_to_end(setup: list[float], passes: list[PassResult]) -> dict[str, float]:
+    best = best_seconds(passes)
+    wrong = {i for p in passes for i, _, _ in p.failures}
+    runs = sum(p.attempted for p in passes)
     m = {"setup_s": statistics.median(setup),
-         "jobs_per_s": good / sum(res.seconds),
-         "job_s.p50": statistics.median(res.seconds),
+         "jobs_per_s": (len(best) - len(wrong)) / sum(best),
+         "job_s.p50": statistics.median(best),
          "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0,
-         "failed_frac": len(res.failures) / res.attempted}
-    if res.attempted >= P90_MIN_JOBS:
-        m["job_s.p90"] = statistics.quantiles(res.seconds, n=10)[-1]
+         "failed_frac": sum(len(p.failures) for p in passes) / runs}
+    if len(best) >= P90_MIN_JOBS:
+        m["job_s.p90"] = statistics.quantiles(best, n=10)[-1]
     return m
 
 
@@ -283,21 +308,17 @@ def per_layer(tracer: Tracer) -> dict[str, float]:
 
 
 def git_commit() -> str:
-    """HEAD of the checkout, read from .git without running git."""
-    git = ROOT / ".git"
+    """HEAD of the checkout, or 'unknown' unless the checkout is the top
+    of a git repository (not a directory inside another one)."""
     try:
-        head = (git / "HEAD").read_text().strip()
-        if not head.startswith("ref: "):
-            return head
-        ref = head[5:]
-        if (git / ref).is_file():
-            return (git / ref).read_text().strip()
-        for line in (git / "packed-refs").read_text().splitlines():
-            if line.endswith(" " + ref):
-                return line.split()[0]
-    except OSError:
-        pass
-    return "unknown"
+        proc = subprocess.run(["git", "rev-parse", "--show-toplevel", "HEAD"], cwd=ROOT,
+                              capture_output=True, text=True, timeout=10)
+    except (OSError, subprocess.TimeoutExpired):
+        return "unknown"
+    lines = proc.stdout.split()
+    if proc.returncode != 0 or len(lines) != 2 or Path(lines[0]).resolve() != ROOT:
+        return "unknown"
+    return lines[1]
 
 
 def cpu_model() -> str:
@@ -334,73 +355,77 @@ def parse_args(argv):
     return args
 
 
-def untraced_run(cli, jobs, deadline: float, setup: list[float]):
-    res = run_pass(cli, jobs, deadline)
-    m = end_to_end(setup, res)
+def untraced_run(cli, workload: str, jobs, deadline: float, setup: SetupProbe):
+    passes, truncated = run_passes(cli, jobs, workloads.PASSES[workload], deadline, setup)
+    m = end_to_end(setup.times, passes)
     metrics = {k: m[k] for k in END_TO_END}
     extra = {k: m[k] for k in EXTRA if k in m}
-    return [res], metrics, extra
+    return passes, truncated, metrics, extra
 
 
-def traced_run(cli, jobs, deadline: float, imports: list[dict], spans_path: Path):
+def traced_run(cli, jobs, deadline: float, setup: SetupProbe, spans_path: Path):
     tracer = Tracer()
-    untraced, traced = run_paired(cli, jobs, deadline, tracer)
+    (untraced, traced), truncated = run_passes(cli, jobs, 1, deadline, setup, tracer)
     tracer.save(spans_path)
     overhead = sum(traced.seconds) - sum(untraced.seconds)
     metrics = per_layer(tracer)
     for metric, module in IMPORTS.items():
-        metrics[metric] = statistics.median(t[module] for t in imports)
+        metrics[metric] = statistics.median(t[module] for t in setup.imports)
     metrics["trace.overhead_s"] = overhead
     extra = {"trace.overhead_frac": overhead / sum(untraced.seconds),
              "trace.spans": len(tracer)}
-    return [untraced, traced], metrics, extra
+    return [untraced, traced], truncated, metrics, extra
 
 
 def main(argv=None) -> int:
     args = parse_args(argv)
-    deadline = time.perf_counter() + DEADLINE_S
+    deadline = time.perf_counter() + min(DEADLINE_CAP_S, DEADLINE_FACTOR * args.seconds)
+    stem = f"{args.workload}-seed{args.seed}-trace{args.trace}"
     try:
         cli = import_program()
         OUT.mkdir(exist_ok=True)
         jobs = workloads.make_jobs(args.workload, args.seed, args.seconds)
-        setup, imports = measure_setup(jobs[0], IMPORTTIME_RUNS if args.trace else SETUP_RUNS,
-                                       importtime=bool(args.trace))
+        setup = SetupProbe(jobs[0], IMPORTTIME_RUNS if args.trace else SETUP_RUNS,
+                           importtime=bool(args.trace))
+        setup.measure()     # the first probe, before any job: a broken set-up stops here
+        probe.lazy_setup(jobs[0].kind, jobs[0].argv[1])
+        if args.trace:
+            passes, truncated, metrics, extra = traced_run(
+                cli, jobs, deadline, setup, OUT / f"{args.workload}-seed{args.seed}-spans.npz")
+            units = PER_LAYER
+        else:
+            passes, truncated, metrics, extra = untraced_run(cli, args.workload, jobs,
+                                                             deadline, setup)
+            units = END_TO_END
     except BenchError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    probe.lazy_setup(jobs[0].kind, jobs[0].argv[1])
-
-    stem = f"{args.workload}-seed{args.seed}-trace{args.trace}"
-    if args.trace:
-        passes, metrics, extra = traced_run(
-            cli, jobs, deadline, imports, OUT / f"{args.workload}-seed{args.seed}-spans.npz")
-        units = PER_LAYER
-    else:
-        passes, metrics, extra = untraced_run(cli, jobs, deadline, setup)
-        units = END_TO_END
     attempted = sum(p.attempted for p in passes)
     failures = [f for p in passes for f in p.failures]
-    truncated = any(p.truncated for p in passes)
     env = environment(args.seed)
     record = {"workload": args.workload, "seed": args.seed, "seconds": args.seconds,
               "trace": args.trace, "environment": env, "jobs": len(jobs),
               "attempted": attempted, "failed": len(failures), "truncated": truncated,
-              "setup_s": setup, "metrics": metrics, "extra": extra,
-              "job_seconds": passes[-1].seconds,
+              "setup_s": setup.times, "metrics": metrics, "extra": extra,
+              "job_seconds": [p.seconds for p in passes],
               "failures": [{"job": i, "kind": k, "reason": r} for i, k, r in failures]}
     (OUT / f"{stem}.json").write_text(json.dumps(record, indent=1) + "\n", encoding="utf-8")
 
+    runs = "once untraced and once traced" if args.trace else f"{len(passes)} passes"
     print(f"milnorscope benchmark: workload={args.workload} seed={args.seed} "
           f"seconds={args.seconds} trace={args.trace}")
     print("environment: " + ", ".join(f"{k}={v}" for k, v in env.items()))
-    print(f"jobs: {len(jobs)} listed, {attempted} attempted, {len(failures)} failed "
-          f"(closed loop, one client{', stopped at the deadline' if truncated else ''})")
+    print(f"jobs: {len(jobs)} listed, run {runs}: {attempted} runs, {len(failures)} failed "
+          f"(closed loop, one client)")
+    if truncated:
+        print(f"WARNING: the run reached its deadline and stopped early; "
+              f"the metrics cover only the runs made")
     for i, kind, reason in failures[:20]:
         print(f"  FAILED job {i} ({kind}): {reason.splitlines()[-1]}")
     for name, value in list(metrics.items()) + list(extra.items()):
         print(f"  {name:<40} {value:.6g} {units.get(name) or EXTRA[name]}")
     if not args.trace and "job_s.p90" not in extra:
-        print(f"  {'job_s.p90':<40} n/a ({passes[0].attempted} jobs, needs {P90_MIN_JOBS})")
+        print(f"  {'job_s.p90':<40} n/a ({len(jobs)} jobs, needs {P90_MIN_JOBS})")
     print(f"record: {(OUT / stem).relative_to(ROOT)}.json")
     print(json.dumps({"correct": not failures, "attempted": attempted,
                       "failed": len(failures),

@@ -42,7 +42,7 @@ def _small_jobs():
 
 def _traced_counts(jobs):
     tracer = Tracer()
-    _, res = bench.run_paired(CLI, jobs, math.inf, tracer)
+    (_, res), _ = bench.run_passes(CLI, jobs, 1, math.inf, tracer=tracer)
     metrics = bench.per_layer(tracer)
     return res, {name: metrics[name] for name in COUNT_METRICS}
 
@@ -68,13 +68,20 @@ def test_uninstall_restores_the_program():
             realpoly.RealPolynomialMap.eval_many) == before
 
 
+def test_best_seconds_takes_each_jobs_fastest_pass():
+    # the second pass stopped at the deadline before its last job
+    first = bench.PassResult(seconds=[0.3, 0.2, 0.5])
+    second = bench.PassResult(seconds=[0.1, 0.4])
+    assert bench.best_seconds([first, second]) == [0.1, 0.2, 0.5]
+
+
 def test_wrong_expected_verdict_counts_as_failure():
     fails = workloads.make_jobs("fails", 5, 1)[0]
     claims_holds = dataclasses.replace(fails, kind="holds", expect=((1.0,),))
     g_ref = workloads.make_jobs("exact", 5, 1)[10]
     assert g_ref.expect == ("g",)
     claims_h_verdict = dataclasses.replace(g_ref, expect=("h",))
-    res = bench.run_pass(CLI, [claims_holds, claims_h_verdict, g_ref], math.inf)
+    (res,), _ = bench.run_passes(CLI, [claims_holds, claims_h_verdict, g_ref], 1, math.inf)
     assert res.attempted == 3
     assert [i for i, _, _ in res.failures] == [0, 1]
     assert "expected 0" in res.failures[0][2]

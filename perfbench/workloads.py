@@ -5,11 +5,11 @@ satisfy.  Every list is a pure function of (workload, seed, seconds):
 the seed draws the inputs, `seconds` only sets how many jobs there are,
 so the same seed always gives the same jobs in the same order.
 
-Parameters that change a job's cost (the fiber targets, the polynomial
-shapes) are spread over their range with seeded low-discrepancy
-sequences rather than independent draws, so each run sees the same mix
-of cheap and expensive jobs and the per-run medians stay comparable
-across seeds.
+Every list holds whole rounds, and a round has the same job kinds in
+the same slots at every seed, so runs with different seeds see the same
+mix of cheap and expensive jobs.  The fiber targets, whose values set a
+job's cost, are also spread over their range with seeded low-discrepancy
+sequences rather than drawn independently.
 """
 
 from __future__ import annotations
@@ -39,10 +39,16 @@ FLOW_EPS = 1.0
 # Wall seconds per job on the reference machine (2-core Xeon, Python
 # 3.11, numpy 2.4, scipy 1.17), averaged over a round.  They only turn
 # --seconds into a job count; jobs_per_s is measured, not derived.
-NOMINAL_JOB_S = {"exact": 0.003, "holds": 5.1, "fails": 0.7, "fiber": 1.0}
+NOMINAL_JOB_S = {"exact": 0.003, "holds": 2.2, "fails": 0.7, "fiber": 1.0}
 # jobs per round: a list always holds whole rounds, so its mix of job
 # kinds is the same at every length
-ROUND = {"exact": 10, "holds": 3, "fails": 4, "fiber": 3}
+ROUND = {"exact": 10, "holds": 4, "fails": 4, "fiber": 4}
+# times an untraced run goes over the whole list, timing each job by its
+# fastest pass; the job count leaves room for all passes in --seconds.
+# Repeats help jobs of a few milliseconds, which fit between the slow
+# spells of a shared machine; a job of a second or more averages over
+# them anyway and gains more from a longer, wider job list.
+PASSES = {"exact": 3, "holds": 1, "fails": 1, "fiber": 1}
 
 # Gaussian-rational coefficient directions and real multipliers; each
 # generated polynomial draws two directions, so terms share directions
@@ -65,8 +71,10 @@ class Job:
 
 
 def job_count(workload: str, seconds: float) -> int:
-    """Whole rounds of jobs filling about `seconds` on the reference machine."""
-    rounds = max(1, round(seconds / (NOMINAL_JOB_S[workload] * ROUND[workload])))
+    """Whole rounds of jobs whose PASSES runs fill about `seconds` on the
+    reference machine."""
+    round_s = NOMINAL_JOB_S[workload] * ROUND[workload] * PASSES[workload]
+    rounds = max(1, round(seconds / round_s))
     return rounds * ROUND[workload]
 
 
@@ -162,16 +170,20 @@ def _exact_jobs(rng, n: int) -> list[Job]:
 
 
 def _holds_jobs(rng, n: int) -> list[Job]:
-    # one G_POLY job, then two H_POLY jobs (each about three times the
-    # cost), every job on all three radii: the median job is then an
-    # H_POLY job, not the gap between the two polynomials
-    radii = ",".join(repr(e) for e in HOLDS_EPS)
+    # one radius per job; a round is one G_POLY job, its radius cycling
+    # over the rounds, then H_POLY on every radius (each about twice the
+    # cost): the median job is then an H_POLY job, not the gap between
+    # the two polynomials
     jobs = []
     for k in range(n):
-        text = G_TEXT if k % ROUND["holds"] == 0 else H_TEXT
-        argv = ("transversality", text, "--eps", radii, "--seeds", "128",
+        r, slot = divmod(k, ROUND["holds"])
+        if slot == 0:
+            text, eps = G_TEXT, HOLDS_EPS[r % len(HOLDS_EPS)]
+        else:
+            text, eps = H_TEXT, HOLDS_EPS[slot - 1]
+        argv = ("transversality", text, "--eps", repr(eps), "--seeds", "128",
                 "--iters", "300", "--rng-seed", _rng_seed(rng), "--no-timing")
-        jobs.append(Job("holds", argv, (HOLDS_EPS,)))
+        jobs.append(Job("holds", argv, ((eps,),)))
     return jobs
 
 
@@ -214,6 +226,9 @@ def fiber_components(c1: float, c2: float, eps: float) -> int:
 
 
 def _fiber_jobs(rng, n: int) -> list[Job]:
+    # a round is a line, two parabolas and a --compare of a line with a
+    # parabola; lines cost least and compares most, so the median job is
+    # the middle parabola rather than the gap between two job kinds.
     # lines: c1 in [0.25, 4]; parabolas: c1 in [0.25, 2] and
     # |c2| = sqrt(c1) * [0.8, 1.25], which keeps the vertex within
     # radius 2.1 of the origin, well inside the radius-3 ball
@@ -238,7 +253,7 @@ def _fiber_jobs(rng, n: int) -> list[Job]:
         common = ("--eps", repr(FIBER_EPS), "--count", str(FIBER_COUNT),
                   "--rng-seed", _rng_seed(rng), "--no-timing")
         slot = k % ROUND["fiber"]
-        if slot < 2:
+        if slot < 3:
             c = line() if slot == 0 else parabola()
             argv = ("fiber", FAILING_TEXT, "--value", value(c)) + common
             jobs.append(Job("fiber", argv,
