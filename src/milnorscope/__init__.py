@@ -10,7 +10,7 @@ from .mixed import (ComplexRational, DiagonalMixedPolynomial, MixedTerm,
                     complex_to_reals, reals_to_complex)
 from .parsing import (ParseError, parse_mixed, parse_real_map, render_mixed,
                       render_real_map)
-from .realpoly import RealPolynomialMap, eval_map, grad_map
+from .realpoly import RealPolynomialMap
 from .structure import (ColinearityClass, CriticalIndexPartition,
                         CriticalSetDescription, CriticalSubspace,
                         DiscriminantComponent, DiscriminantGeometry,
@@ -21,11 +21,10 @@ from .structure import (ColinearityClass, CriticalIndexPartition,
                         sample_critical_subspace, sigma_cap_V_trivial,
                         special_family_form)
 from .transversality import (ClaimCheckResult, LocusSearchResult,
-                             TangencyMatrix, TangencyWitness,
-                             TransversalityReport, TransversalityVerdict,
-                             dependence_measure, falsify_transversality,
-                             search_tangency_locus, special_family_claim_check,
-                             special_family_minor, tangency_matrix,
-                             tangency_minors_exact)
+                             TangencyWitness, TransversalityReport,
+                             TransversalityVerdict, dependence_measure,
+                             falsify_transversality, search_tangency_locus,
+                             special_family_claim_check, special_family_minor,
+                             tangency_matrix, tangency_minors_exact)
 
 __all__ = [name for name in dir() if not name.startswith("_")]

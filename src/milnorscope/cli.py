@@ -15,10 +15,10 @@ input, 3 transversality inconclusive somewhere.
 from __future__ import annotations
 
 import argparse
+import math
 import re
 import sys
 import time
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -35,29 +35,6 @@ EXIT_OK = 0
 EXIT_FAILS = 1
 EXIT_BAD_INPUT = 2
 EXIT_INCONCLUSIVE = 3
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """Echo of the numeric knobs a run used."""
-
-    eps: tuple[float, ...]
-    seeds: int
-    iters: int
-    rng_seed: int
-    tol_tangency: float
-    tol_v: float
-    margin: float | None
-    timing: bool
-
-
-@dataclass(frozen=True, eq=False)
-class AnalysisBundle:
-    """Structure report plus any transversality reports attached to it."""
-
-    structure: dict
-    transversality: tuple[dict, ...]
-    config: RunConfig
 
 
 def _tool_header(command: str) -> dict:
@@ -98,9 +75,20 @@ def _as_real_map(obj) -> RealPolynomialMap:
 
 def _floats(text: str) -> list[float]:
     try:
-        return [float(v) for v in text.split(",") if v.strip() != ""]
+        vals = [float(v) for v in text.split(",") if v.strip() != ""]
     except ValueError as exc:
         raise ParseError(f"bad numeric list {text!r}", 0) from exc
+    if not all(math.isfinite(v) for v in vals):
+        raise ParseError(f"non-finite number in {text!r}", 0)
+    return vals
+
+
+def _float_list_arg(text: str) -> list[float]:
+    # argparse prints only an ArgumentTypeError's own message
+    try:
+        return _floats(text)
+    except ParseError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
 
 
 def _emit(args, payload: str) -> None:
@@ -135,18 +123,11 @@ def cmd_analyze(args) -> int:
             rng_seed=args.rng_seed, tol_tangency=args.tol_tangency,
             tol_v=args.tol_v, margin=args.margin)
         trans.append(serialize.transversality_json(rep))
-    config = RunConfig(eps=tuple(args.transversality_eps or ()),
-                       seeds=args.seeds, iters=args.iters,
-                       rng_seed=args.rng_seed, tol_tangency=args.tol_tangency,
-                       tol_v=args.tol_v, margin=args.margin,
-                       timing=not args.no_timing)
-    bundle = AnalysisBundle(structure=serialize.structure_json(report),
-                            transversality=tuple(trans), config=config)
     doc = _tool_header("analyze")
     doc["input"] = text
-    doc["structure"] = bundle.structure
-    if bundle.transversality:
-        doc["transversality"] = list(bundle.transversality)
+    doc["structure"] = serialize.structure_json(report)
+    if trans:
+        doc["transversality"] = trans
     _emit(args, serialize.dumps(_with_timing(doc, args, t0)))
     return EXIT_OK
 
@@ -232,8 +213,8 @@ def cmd_flow(args) -> int:
     else:
         lo, hi, num = args.t_range
         ts = list(np.linspace(lo, hi, int(num)))
-    if any(t <= 0 for t in ts):
-        raise ParseError("flow times must be positive", 0)
+    if not all(t > 0 and math.isfinite(t) for t in ts):
+        raise ParseError("flow times must be positive and finite", 0)
     base_val = obj.eval(z)
     samples = []
     for t in ts:
@@ -308,7 +289,7 @@ def build_parser() -> argparse.ArgumentParser:
     pa = sub.add_parser("analyze", help="symbolic structure of a mixed polynomial")
     common(pa)
     numeric(pa)
-    pa.add_argument("--transversality-eps", type=lambda s: _floats(s), default=None,
+    pa.add_argument("--transversality-eps", type=_float_list_arg, default=None,
                     metavar="LIST",
                     help="also run the tangency search on these sphere radii")
     pa.set_defaults(func=cmd_analyze)
@@ -316,7 +297,7 @@ def build_parser() -> argparse.ArgumentParser:
     pt = sub.add_parser("transversality", help="tangency search on spheres")
     common(pt)
     numeric(pt)
-    pt.add_argument("--eps", type=lambda s: _floats(s), default=[1.0, 0.5, 0.25, 0.125],
+    pt.add_argument("--eps", type=_float_list_arg, default=[1.0, 0.5, 0.25, 0.125],
                     metavar="LIST", help="comma-separated sphere radii")
     pt.set_defaults(func=cmd_transversality)
 
@@ -338,7 +319,7 @@ def build_parser() -> argparse.ArgumentParser:
     pw.add_argument("--t", metavar="LIST", help="comma-separated flow times")
     pw.add_argument("--t-range", nargs=3, type=float, default=(0.5, 2.0, 7),
                     metavar=("LO", "HI", "N"), help="evenly spaced flow times")
-    pw.add_argument("--eps", type=lambda s: _floats(s), default=None,
+    pw.add_argument("--eps", type=_float_list_arg, default=None,
                     metavar="LIST", help="also inflate the point to these radii")
     pw.set_defaults(func=cmd_flow)
     return ap

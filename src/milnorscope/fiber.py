@@ -5,7 +5,8 @@ quasi-random seeds; connected components are estimated by single
 linkage at a radius chosen by persistence: along the exact minimum
 spanning tree of the converged cloud, the component count that stays
 constant over the widest range of merge radii (in log scale, above the
-sampling resolution of the cloud) wins.
+sampling resolution of the cloud) wins, and cutting the same tree at
+that radius labels the components.
 Sampling gaps of a connected piece close at small radii while genuinely
 separate pieces only merge near their true separation, so the stable
 count is the sampled one.  The count is descriptive: it says how the
@@ -21,7 +22,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from . import sampling
 from .mixed import DiagonalMixedPolynomial
@@ -64,11 +64,12 @@ def inflate_to_sphere(params: FlowParams, z, eps: float) -> tuple[float, np.ndar
     safeguarded Newton on sqrt of it converges to the unique root; the
     radius error of the returned point is below 1e-12.
     """
-    if eps <= 0:
-        raise ValueError("eps must be positive")
+    sampling.check_radius(eps)
     z = np.asarray(z, dtype=complex)
     if z.shape != (len(params.weights),):
         raise ValueError("point has wrong dimension")
+    if not np.all(np.isfinite(z)):
+        raise ValueError("point must be finite")
     m2 = np.abs(z) ** 2
     if not np.any(m2 > 0):
         raise ValueError("cannot inflate the origin")
@@ -131,43 +132,28 @@ def newton_to_fiber(f: RealPolynomialMap, c, x0,
                     max_iter: int = NEWTON_MAX_ITER) -> NewtonResult:
     """Damped Gauss-Newton from x0 toward the fiber f^{-1}(c).
 
-    Uses the pseudo-inverse step (minimum-norm for underdetermined
-    systems), halving the step while the residual fails to decrease.
-    Fails cleanly near rank-deficient Jacobians instead of diverging.
+    The batched iteration of `sample_fiber` run on a batch of one.
     """
-    x = np.asarray(x0, dtype=float).copy()
-    c = np.asarray(c, dtype=float)
-    r = f.eval_many(x) - c
-    rn = float(np.linalg.norm(r))
-    it = 0
-    while rn > tol and it < max_iter:
-        J = f.grad_many(x)
-        delta = np.linalg.pinv(J) @ r
-        if not np.all(np.isfinite(delta)):
-            break
-        lam = 1.0
-        improved = False
-        for _ in range(12):
-            xt = x - lam * delta
-            rt = f.eval_many(xt) - c
-            rtn = float(np.linalg.norm(rt))
-            if rtn < rn:
-                x, r, rn = xt, rt, rtn
-                improved = True
-                break
-            lam *= 0.5
-        it += 1
-        if not improved:
-            break
-    return NewtonResult(x, rn, it, rn <= tol)
+    X, rn, its = _newton_batch(f, np.asarray(c, dtype=float),
+                               np.asarray(x0, dtype=float)[None], tol, max_iter)
+    return NewtonResult(X[0], float(rn[0]), int(its[0]), bool(rn[0] <= tol))
 
 
 def _newton_batch(f: RealPolynomialMap, c: np.ndarray, X: np.ndarray,
-                  tol: float, max_iter: int) -> tuple[np.ndarray, np.ndarray]:
-    """Vectorised damped Gauss-Newton; returns final points and residuals."""
+                  tol: float, max_iter: int
+                  ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Vectorised damped Gauss-Newton toward f^{-1}(c).
+
+    Pseudo-inverse steps (minimum-norm for underdetermined systems) are
+    halved while the residual fails to decrease; a point stops when no
+    step helps or its step is not finite (near rank-deficient
+    Jacobians), so it fails cleanly instead of diverging.  Returns the
+    final points, their residuals and each point's iteration count.
+    """
     X = np.array(X, dtype=float)
     R = f.eval_many(X) - c
     rn = np.linalg.norm(R, axis=1)
+    its = np.zeros(len(X), dtype=int)
     active = rn > tol
     for _ in range(max_iter):
         idx = np.where(active)[0]
@@ -178,6 +164,7 @@ def _newton_batch(f: RealPolynomialMap, c: np.ndarray, X: np.ndarray,
         delta = (np.linalg.pinv(J) @ (R[idx][:, :, None]))[:, :, 0]
         bad = ~np.all(np.isfinite(delta), axis=1)
         delta[bad] = 0.0
+        its[idx[~bad]] += 1
         lam = np.ones(idx.size)
         moved = np.zeros(idx.size, dtype=bool)
         cur = rn[idx].copy()
@@ -202,7 +189,7 @@ def _newton_batch(f: RealPolynomialMap, c: np.ndarray, X: np.ndarray,
         R[idx] = newR
         rn[idx] = cur
         active[idx] = moved & (cur > tol)
-    return X, rn
+    return X, rn, its
 
 
 # ----------------------------------------------------------------------
@@ -234,21 +221,30 @@ class FiberSample:
             raise ValueError("fiber points must satisfy the residual tolerance")
 
 
-def _mst_edge_lengths(P: np.ndarray) -> np.ndarray:
-    """Sorted edge lengths of the exact Euclidean MST (Prim, O(N^2))."""
+def _mst(P: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Exact Euclidean minimum spanning tree (Prim, O(N^2)).
+
+    Returns the points in the order Prim adds them, starting at point 0,
+    and for each point the tree neighbor it joins through and the
+    length of that edge (-1 and inf for point 0).
+    """
     n = len(P)
-    if n < 2:
-        return np.zeros(0)
+    order = np.zeros(n, dtype=int)
+    parent = np.full(n, -1)
+    length = np.full(n, np.inf)
     in_tree = np.zeros(n, dtype=bool)
     in_tree[0] = True
     d = np.linalg.norm(P - P[0], axis=1)
-    edges = np.empty(n - 1)
-    for k in range(n - 1):
+    near = np.zeros(n, dtype=int)
+    for k in range(1, n):
         i = int(np.argmin(np.where(in_tree, np.inf, d)))
-        edges[k] = d[i]
+        order[k], parent[i], length[i] = i, near[i], d[i]
         in_tree[i] = True
-        d = np.minimum(d, np.linalg.norm(P - P[i], axis=1))
-    return np.sort(edges)
+        di = np.linalg.norm(P - P[i], axis=1)
+        closer = di < d
+        d[closer] = di[closer]
+        near[closer] = i
+    return order, parent, length
 
 
 def _persistent_count(edges: np.ndarray, floor: float, start: float,
@@ -283,24 +279,25 @@ def _persistent_count(edges: np.ndarray, floor: float, start: float,
     return best[1], best[2]
 
 
-def _single_linkage(points: np.ndarray, radius: float) -> tuple[np.ndarray, int]:
-    n = len(points)
-    parent = np.arange(n)
+def _cut_labels(order: np.ndarray, parent: np.ndarray, length: np.ndarray,
+                radius: float) -> tuple[np.ndarray, int]:
+    """Components of the MST once every edge longer than `radius` is cut.
 
-    def find(i: int) -> int:
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    tree = cKDTree(points)
-    for i, j in tree.query_pairs(radius):
-        ri, rj = find(i), find(j)
-        if ri != rj:
-            parent[ri] = rj
-    roots = np.array([find(i) for i in range(n)])
-    uniq, labels = np.unique(roots, return_inverse=True)
-    return labels, len(uniq)
+    These are exactly the single-linkage clusters at that radius (Gower
+    and Ross 1969).  A parent always precedes its child in Prim order,
+    so one pass labels every point; labels are then renumbered by first
+    appearance in the point array.
+    """
+    comp = np.empty(len(order), dtype=int)
+    count = 0
+    for i, p, e in zip(order.tolist(), parent[order].tolist(), length[order].tolist()):
+        if e <= radius:
+            comp[i] = comp[p]
+        else:
+            comp[i] = count
+            count += 1
+    first = np.unique(comp, return_index=True)[1]
+    return np.argsort(first).argsort()[comp], count
 
 
 def sample_fiber(f: RealPolynomialMap, c, eps: float,
@@ -313,18 +310,22 @@ def sample_fiber(f: RealPolynomialMap, c, eps: float,
     component count is the most persistent one: single linkage over the
     cloud's minimum spanning tree, keeping the count that survives the
     widest log-range of merge radii.  `linkage_radius` is a radius
-    inside that stable range and `labels` the grouping there.  Fewer
-    than 10 kept points set the `unreliable` flag.  Points where the
-    Jacobian is nearly rank-deficient (singular-value ratio below 1e-8)
-    are counted in singular_count.
+    inside that stable range; `labels` are the components of the tree
+    with every edge longer than it cut, numbered by first appearance in
+    `points`, and `nn_median` is the median nearest-neighbor distance,
+    read off the same tree.  Fewer than 10 kept points set the
+    `unreliable` flag.  Points where the Jacobian is nearly
+    rank-deficient (singular-value ratio below 1e-8) are counted in
+    singular_count.  eps must be positive and finite, and c finite.
     """
-    if eps <= 0:
-        raise ValueError("eps must be positive")
+    sampling.check_radius(eps)
     c = np.asarray(c, dtype=float)
     if c.shape != (f.p,):
         raise ValueError("target value has wrong dimension")
+    if not np.all(np.isfinite(c)):
+        raise ValueError("target value must be finite")
     seeds = sampling.ball_points(f.n, count, eps, rng_seed)
-    X, rn = _newton_batch(f, c, seeds, tol, NEWTON_MAX_ITER)
+    X, rn, _ = _newton_batch(f, c, seeds, tol, NEWTON_MAX_ITER)
     keep = (rn <= tol) & (np.linalg.norm(X, axis=1) <= eps)
     pts = X[keep]
     res = rn[keep]
@@ -335,16 +336,17 @@ def sample_fiber(f: RealPolynomialMap, c, eps: float,
     else:
         singular = 0
     if len(pts) >= 2:
-        tree = cKDTree(pts)
-        nn = tree.query(pts, k=2)[0][:, 1]
+        order, parent, length = _mst(pts)
+        # a point's nearest-neighbor edge is always a tree edge
+        nn = length.copy()
+        np.minimum.at(nn, parent[1:], length[1:])
         nn_median = float(np.median(nn))
-        edges = _mst_edge_lengths(pts)
         spread = pts.max(axis=0) - pts.min(axis=0)
         floor = 1e-9 * eps
         diameter = max(float(np.linalg.norm(spread)), floor)
-        ncomp, radius = _persistent_count(edges, floor,
-                                          max(nn_median, floor), diameter)
-        labels, ncomp = _single_linkage(pts, radius)
+        _, radius = _persistent_count(np.sort(length[1:]), floor,
+                                      max(nn_median, floor), diameter)
+        labels, ncomp = _cut_labels(order, parent, length, radius)
     else:
         nn_median = 0.0
         radius = 0.0

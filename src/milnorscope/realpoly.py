@@ -241,16 +241,6 @@ class RealPolynomialMap:
         return f"RealPolynomialMap(n={self.n}, p={self.p}, vars={self.var_names})"
 
 
-def eval_map(f: RealPolynomialMap, x) -> np.ndarray:
-    """Value of f at one point (float)."""
-    return f.eval_many(np.asarray(x, dtype=float))
-
-
-def grad_map(f: RealPolynomialMap, x) -> np.ndarray:
-    """Jacobian of f at one point (float), shape (p, n)."""
-    return f.grad_many(np.asarray(x, dtype=float))
-
-
 def det_exact(rows: Sequence[Sequence[Fraction]]) -> Fraction:
     """Determinant of a small square matrix of Fractions (Laplace expansion)."""
     m = len(rows)

@@ -2,11 +2,19 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 from scipy.special import ndtri
 from scipy.stats import qmc
 
 _TINY = 1e-12
+
+
+def check_radius(eps: float) -> None:
+    """Raise ValueError unless eps is a positive finite radius."""
+    if not (eps > 0 and math.isfinite(eps)):
+        raise ValueError(f"eps must be positive and finite, got {eps!r}")
 
 
 def _sobol(d: int, count: int, seed: int) -> np.ndarray:

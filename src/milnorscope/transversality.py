@@ -54,37 +54,37 @@ class TransversalityVerdict(enum.Enum):
     INCONCLUSIVE = "Inconclusive"
 
 
-@dataclass(frozen=True)
-class TangencyMatrix:
-    """Gradient rows of f at a point, with the point itself as last row."""
-
-    matrix: np.ndarray
-    point: np.ndarray
-
-    def __post_init__(self):
-        if not np.array_equal(self.matrix[-1], self.point):
-            raise ValueError("last row must equal the point")
-
-
-def tangency_matrix(f: RealPolynomialMap, x) -> TangencyMatrix:
-    """The (p+1) x n matrix whose rank decides tangency at x (x nonzero)."""
+def tangency_matrix(f: RealPolynomialMap, x) -> np.ndarray:
+    """The (p+1) x n matrix whose rank decides tangency at x (x nonzero):
+    the gradient rows of f at x, then x itself."""
     x = np.asarray(x, dtype=float)
     if x.shape != (f.n,):
         raise ValueError("point has wrong dimension")
     if not np.any(x):
         raise ValueError("point must be nonzero")
-    M = np.vstack([f.grad_many(x), x[None, :]])
-    return TangencyMatrix(M, x)
+    return np.vstack([f.grad_many(x), x[None, :]])
 
 
-def _dependence_from_matrix(M: np.ndarray) -> float:
-    M = np.asarray(M, dtype=float)
-    norms = np.linalg.norm(M, axis=1)
-    if np.any(norms < 1e-300):
-        return 0.0
-    if M.shape[0] > M.shape[1]:
-        return 0.0
-    return float(np.linalg.svd(M / norms[:, None], compute_uv=False)[-1])
+def _normalized(M: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    # rows scaled to unit length; `zero` marks matrices with a vanishing row
+    norms = np.linalg.norm(M, axis=2)
+    zero = np.any(norms < 1e-300, axis=1)
+    safe = np.where(norms < 1e-300, 1.0, norms)
+    return M / safe[:, :, None], zero
+
+
+def _sigma_min(M: np.ndarray) -> np.ndarray:
+    """Smallest singular value of each row-normalised matrix in a stack.
+
+    Zero where some row vanishes and, for the whole stack, when rows
+    outnumber columns.
+    """
+    if M.shape[1] > M.shape[2]:
+        return np.zeros(len(M))
+    Mh, zero = _normalized(M)
+    sig = np.linalg.svd(Mh, compute_uv=False)[:, -1]
+    sig[zero] = 0.0
+    return sig
 
 
 def dependence_measure(M) -> float:
@@ -94,9 +94,7 @@ def dependence_measure(M) -> float:
     columns; zero exactly on rank-deficient matrices, and invariant
     under positive rescaling of individual rows.
     """
-    if isinstance(M, TangencyMatrix):
-        M = M.matrix
-    return _dependence_from_matrix(M)
+    return float(_sigma_min(np.asarray(M, dtype=float)[None])[0])
 
 
 def tangency_minors_exact(f: RealPolynomialMap, x) -> list[Fraction]:
@@ -145,16 +143,9 @@ class _Engine:
         J = self.f.grad_many(X)
         return np.concatenate([J, X[:, None, :]], axis=1)
 
-    @staticmethod
-    def _normalized(M: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        norms = np.linalg.norm(M, axis=2)
-        zero = np.any(norms < 1e-300, axis=1)
-        safe = np.where(norms < 1e-300, 1.0, norms)
-        return M / safe[:, :, None], zero
-
     def sigma_batch(self, X: np.ndarray) -> np.ndarray:
         # fast Gram-based value; absolute accuracy bottoms out near 1e-8
-        Mh, zero = self._normalized(self.matrix_batch(X))
+        Mh, zero = _normalized(self.matrix_batch(X))
         if self.m > self.f.n:
             return np.zeros(len(X))
         G = Mh @ np.transpose(Mh, (0, 2, 1))
@@ -170,27 +161,10 @@ class _Engine:
 
     def sigma_batch_svd(self, X: np.ndarray) -> np.ndarray:
         # full-precision smallest singular value, still batched
-        Mh, zero = self._normalized(self.matrix_batch(X))
-        if self.m > self.f.n:
-            return np.zeros(len(X))
-        sig = np.linalg.svd(Mh, compute_uv=False)[:, -1]
-        sig[zero] = 0.0
-        return sig
-
-    def sigma_grad_batch_svd(self, X: np.ndarray) -> np.ndarray:
-        # dependence measure of the gradient rows alone (criticality test)
-        Mh, zero = self._normalized(self.f.grad_many(X))
-        if self.f.p > self.f.n:
-            return np.zeros(len(X))
-        sig = np.linalg.svd(Mh, compute_uv=False)[:, -1]
-        sig[zero] = 0.0
-        return sig
+        return _sigma_min(self.matrix_batch(X))
 
     def fnorm_batch(self, X: np.ndarray) -> np.ndarray:
         return np.linalg.norm(self.f.eval_many(X), axis=1)
-
-    def sigma_point(self, x: np.ndarray) -> float:
-        return float(self.sigma_batch_svd(x[None])[0])
 
 
 def _project(X: np.ndarray, eps: float) -> np.ndarray:
@@ -243,11 +217,11 @@ class LocusSearchResult:
 
 def _make_witness(engine: _Engine, x: np.ndarray, eps: float,
                   tol_tangency: float) -> TangencyWitness:
-    sigma = engine.sigma_point(x)
-    sigma_grad = float(engine.sigma_grad_batch_svd(x[None])[0])
+    J = engine.f.grad_many(x[None])
+    sigma = float(_sigma_min(np.concatenate([J, x[None, None, :]], axis=1))[0])
+    sigma_grad = float(_sigma_min(J)[0])
     f_norm = float(engine.fnorm_batch(x[None])[0])
-    J = engine.f.grad_many(x)
-    smin = np.linalg.svd(J, compute_uv=False)[-1] if engine.f.p <= engine.f.n else 0.0
+    smin = np.linalg.svd(J[0], compute_uv=False)[-1] if engine.f.p <= engine.f.n else 0.0
     dist_v = f_norm / smin if smin > 1e-300 else math.inf
     return TangencyWitness(point=x.copy(), eps=eps, sigma=sigma,
                            sigma_grad=sigma_grad, f_norm=f_norm,
@@ -366,8 +340,7 @@ def search_tangency_locus(f: RealPolynomialMap, eps: float, *,
     reported separately as critical hits.  `extra_seeds` adds caller
     chosen start points (projected to the sphere) to the multistart.
     """
-    if eps <= 0:
-        raise ValueError("eps must be positive")
+    sampling.check_radius(eps)
     if f.n <= f.p:
         raise ValueError("need more variables than components")
     engine = _Engine(f)
@@ -463,31 +436,32 @@ def _build_sequence(engine: _Engine, eps: float, start: TangencyWitness,
         w = certify(x)
         if w.sigma < tol_tangency and not w.near_critical and w.f_norm > 100 * tol_v:
             seq = [w]
-    prev = seq[-1]
+    # every test reads the last certified witness; after a failed step
+    # only the start point of the next minimisation is kicked
+    start_pt = seq[-1].point
     failures = 0
     while len(seq) < 60:
-        if prev.f_norm < tol_v and len(seq) >= 3:
+        last = seq[-1]
+        if last.f_norm < tol_v and len(seq) >= 3:
             return seq
         # aim below the required 10x decrease so convergence error in the
         # target minimisation cannot land a hair above the threshold
-        target = max(prev.f_norm / 12.5, tol_v / 25.0)
-        x = _minimize_on_sphere(engine, prev.point, eps, target_objective(target))
+        target = max(last.f_norm / 12.5, tol_v / 25.0)
+        x = _minimize_on_sphere(engine, start_pt, eps, target_objective(target))
         w = certify(x)
         good = (w.sigma < tol_tangency and not w.near_critical
-                and 0.0 < w.f_norm <= prev.f_norm / 10.0)
+                and 0.0 < w.f_norm <= last.f_norm / 10.0)
         if good:
             seq.append(w)
-            prev = w
+            start_pt = w.point
             failures = 0
         else:
             failures += 1
             if failures > 3:
                 return None
-            kick = rng.normal(size=len(prev.point))
-            kick = _tangent_part(kick[None], prev.point[None], eps)[0]
-            prev = _make_witness(
-                engine, _project(prev.point + 0.02 * eps * kick, eps),
-                eps, tol_tangency)
+            kick = rng.normal(size=len(start_pt))
+            kick = _tangent_part(kick[None], start_pt[None], eps)[0]
+            start_pt = _project(start_pt + 0.02 * eps * kick, eps)
     return None
 
 
@@ -508,7 +482,9 @@ def falsify_transversality(f: RealPolynomialMap, eps: float, *,
     `tol_tangency` and none on the critical set.  Support is the
     statement that every regular-fiber tangency found keeps |f| above
     the margin (default: 1e-2 times the median of |f| on the sphere).
+    eps must be positive and finite.
     """
+    sampling.check_radius(eps)
     engine = _Engine(f)
     rng = np.random.default_rng(rng_seed + 7919)
     sample = sampling.sphere_points(f.n, 2048, eps, rng_seed + 101)

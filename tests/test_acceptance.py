@@ -16,8 +16,8 @@ from scipy import ndimage
 from milnorscope import (ComplexRational, DiagonalMixedPolynomial, MixedTerm,
                          TransversalityVerdict, VerdictKind,
                          colinearity_classes, critical_indices, critical_set,
-                         discriminant, eval_map, falsify_transversality,
-                         fiber_compare, fibration_verdict, grad_map,
+                         discriminant, falsify_transversality,
+                         fiber_compare, fibration_verdict,
                          parse_mixed, parse_real_map, radial_weights,
                          sample_critical_subspace, search_tangency_locus,
                          special_family_claim_check, special_family_form,
@@ -349,7 +349,7 @@ def test_equivariance_property():
 
 def _brute_minor(psi, j, x, component):
     f = psi.to_real_map()
-    M = np.vstack([grad_map(f, x), x])
+    M = np.vstack([f.grad_many(x), x])
     o = special_family_form(psi).odd_index
     cols = [2 * (j - 1) + (0 if component == "x" else 1),
             2 * (o - 1), 2 * (o - 1) + 1]
@@ -391,7 +391,7 @@ def _fd_jacobian(f, x, h=1e-6):
     for k in range(f.n):
         e = np.zeros(f.n)
         e[k] = h
-        J[:, k] = (eval_map(f, x + e) - eval_map(f, x - e)) / (2 * h)
+        J[:, k] = (f.eval_many(x + e) - f.eval_many(x - e)) / (2 * h)
     return J
 
 
@@ -411,7 +411,7 @@ def test_gradient_finite_difference():
             f = _random_real_map(rng)
             for _ in range(20):
                 x = rng.uniform(-1.5, 1.5, size=f.n)
-                J = grad_map(f, x)
+                J = f.grad_many(x)
                 err = np.linalg.norm(J - _fd_jacobian(f, x))
                 assert err <= 1e-6 * (1.0 + np.linalg.norm(J))
         ok = True

@@ -162,6 +162,30 @@ def test_fiber_bad_numeric_list(capsys):
     assert "bad numeric list" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ["fiber", FAILING_MAP, "--value", "nan,0"],
+    ["fiber", FAILING_MAP, "--value", "1,0", "--compare", "0,inf"],
+    ["fiber", FAILING_MAP, "--value", "1,0", "--eps", "nan"],
+    ["fiber", FAILING_MAP, "--value", "1,0", "--eps", "inf"],
+    ["transversality", FAILING_MAP, "--eps", "nan"],
+    ["transversality", FAILING_MAP, "--eps", "1,inf"],
+    ["analyze", G, "--transversality-eps", "nan"],
+    ["flow", G, "--point", "1,0,1,0", "--eps", "nan"],
+    ["flow", G, "--point", "1,nan,1,0"],
+    ["flow", G, "--point", "1,0,1,0", "--t", "1,inf"],
+])
+def test_non_finite_numbers_are_bad_input(capsys, argv):
+    # list options parsed by argparse exit through SystemExit
+    try:
+        code = main(argv + ["--no-timing"])
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert "finite" in captured.err
+
+
 # ----------------------------------------------------------------------
 # flow
 

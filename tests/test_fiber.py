@@ -5,6 +5,8 @@ import math
 
 import numpy as np
 import pytest
+from scipy.spatial import cKDTree
+from scipy.spatial.distance import cdist
 
 from milnorscope import (
     FlowParams,
@@ -17,6 +19,7 @@ from milnorscope import (
     rplus_flow,
     sample_fiber,
 )
+from milnorscope.fiber import _cut_labels, _mst
 
 FAILING_MAP = parse_real_map("(x*y + z^2, x) vars x,y,z")
 G_MIXED = parse_mixed("z1 z1~ + z2^2 z2~")
@@ -99,6 +102,11 @@ def test_inflate_rejects_bad_input():
         inflate_to_sphere(params, [1j, 0j], -1.0)
     with pytest.raises(ValueError, match="dimension"):
         inflate_to_sphere(params, [1j], 1.0)
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="positive and finite"):
+            inflate_to_sphere(params, [1j, 0j], bad)
+        with pytest.raises(ValueError, match="point must be finite"):
+            inflate_to_sphere(params, [1j, bad], 1.0)
 
 
 # ----------------------------------------------------------------------
@@ -164,6 +172,11 @@ def test_sample_fiber_rejects_bad_input():
         sample_fiber(FAILING_MAP, (1.0, 0.0), 0.0)
     with pytest.raises(ValueError, match="dimension"):
         sample_fiber(FAILING_MAP, (1.0, 0.0, 0.0), 1.0)
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="positive and finite"):
+            sample_fiber(FAILING_MAP, (1.0, 0.0), bad)
+        with pytest.raises(ValueError, match="target value must be finite"):
+            sample_fiber(FAILING_MAP, (1.0, bad), 1.0)
 
 
 def test_fiber_counts_two_lines_vs_parabola():
@@ -246,3 +259,69 @@ def test_fiber_compare_equal_targets_agree():
                         count=400, rng_seed=3)
     assert cmp.component_counts == (1, 1)
     assert np.array_equal(cmp.first.points, cmp.second.points)
+
+
+# ----------------------------------------------------------------------
+# components from the minimum spanning tree
+
+
+def brute_single_linkage(P, radius):
+    """Reference partition: components of the graph that joins points at
+    distance <= radius, numbered by first appearance."""
+    adj = cdist(P, P) <= radius
+    labels = np.full(len(P), -1)
+    k = 0
+    for s in range(len(P)):
+        if labels[s] >= 0:
+            continue
+        labels[s] = k
+        frontier = np.array([s])
+        while frontier.size:
+            frontier = np.flatnonzero(adj[frontier].any(axis=0) & (labels < 0))
+            labels[frontier] = k
+        k += 1
+    return labels
+
+
+@pytest.fixture(scope="module")
+def acceptance_fibers():
+    cmp = fiber_compare(FAILING_MAP, (1.0, 0.0), (0.0, 1.0), 3.0, count=2000)
+    return cmp.first, cmp.second
+
+
+def test_fiber_labels_match_bruteforce_single_linkage(acceptance_fibers):
+    for s in acceptance_fibers:
+        ref = brute_single_linkage(s.points, s.linkage_radius)
+        assert np.array_equal(s.labels, ref)
+        assert s.component_count == ref.max() + 1
+
+
+def test_fiber_labels_numbered_by_first_appearance(acceptance_fibers):
+    for s in acceptance_fibers:
+        first = np.unique(s.labels, return_index=True)[1]
+        assert first[0] == 0
+        assert np.all(np.diff(first) > 0)
+
+
+def test_fiber_nn_median_matches_kdtree(acceptance_fibers):
+    for s in acceptance_fibers:
+        nn = cKDTree(s.points).query(s.points, k=2)[0][:, 1]
+        assert s.nn_median == pytest.approx(float(np.median(nn)), rel=1e-12)
+
+
+def test_mst_cut_with_duplicates_and_two_blobs():
+    rng = np.random.default_rng(5)
+    a = rng.normal(size=(30, 3)) * 0.1
+    b = rng.normal(size=(30, 3)) * 0.1 + [5.0, 0.0, 0.0]
+    # 11 exact duplicates: a[0] three times, a[1..6] and b[0..2] twice
+    P = np.vstack([a, a[:7], b, b[:3], a[:1]])
+    P = P[rng.permutation(len(P))]
+    order, parent, length = _mst(P)
+    assert sorted(order) == list(range(len(P)))
+    assert np.count_nonzero(length == 0.0) == 11
+    for radius in (0.0, 0.05, 0.2, 1.0, 10.0):
+        labels, count = _cut_labels(order, parent, length, radius)
+        ref = brute_single_linkage(P, radius)
+        assert np.array_equal(labels, ref)
+        assert count == ref.max() + 1
+    assert _cut_labels(order, parent, length, 1.0)[1] == 2

@@ -15,8 +15,6 @@ from milnorscope import (
     MixedTerm,
     RealPolynomialMap,
     complex_to_reals,
-    eval_map,
-    grad_map,
     parse_mixed,
     parse_real_map,
     reals_to_complex,
@@ -204,7 +202,7 @@ def test_real_jacobian_matches_grad_map_of_expansion():
         for _ in range(20):
             x = rng.uniform(-1.5, 1.5, size=2 * psi.n)
             J1 = psi.real_jacobian(reals_to_complex(x))
-            J2 = grad_map(f, x)
+            J2 = f.grad_many(x)
             assert np.allclose(J1, J2, rtol=1e-9, atol=1e-9)
 
 
@@ -235,7 +233,7 @@ def test_to_real_map_evaluation_equality():
         for _ in range(50):
             x = rng.uniform(-2, 2, size=2 * psi.n)
             w = psi.eval(reals_to_complex(x))
-            v = eval_map(f, x)
+            v = f.eval_many(x)
             assert abs(complex(v[0], v[1]) - w) < 1e-9 * (1 + abs(w))
 
 
@@ -271,14 +269,14 @@ def test_reals_complex_round_trip():
 
 def test_eval_and_grad_map_hand_values():
     f = parse_real_map("(x*y + z^2, x) vars x,y,z")
-    assert eval_map(f, [1, 2, 3]) == pytest.approx([11.0, 1.0])
-    J = grad_map(f, [1, 2, 3])
+    assert f.eval_many([1, 2, 3]) == pytest.approx([11.0, 1.0])
+    J = f.grad_many([1, 2, 3])
     assert J == pytest.approx(np.array([[2, 1, 6], [1, 0, 0]], dtype=float))
 
 
 def test_grad_map_zero_at_origin_for_high_degree():
     f = parse_real_map("(x^2 + y^3, x*y) vars x,y")
-    assert grad_map(f, [0, 0]) == pytest.approx(np.zeros((2, 2)))
+    assert f.grad_many([0, 0]) == pytest.approx(np.zeros((2, 2)))
 
 
 def test_grad_map_against_finite_differences():
@@ -296,8 +294,8 @@ def test_grad_map_against_finite_differences():
         f = RealPolynomialMap(n, comps)
         for _ in range(20):
             x = rng.uniform(-1, 1, size=n)
-            J = grad_map(f, x)
-            J_fd = fd_jacobian(lambda v: eval_map(f, v), x, p)
+            J = f.grad_many(x)
+            J_fd = fd_jacobian(f.eval_many, x, p)
             assert np.linalg.norm(J - J_fd) < 1e-6 * (1 + np.linalg.norm(J))
 
 
@@ -306,7 +304,7 @@ def test_eval_exact_vs_float():
     xq = [Fraction(3, 2), Fraction(-1, 3)]
     exact = f.eval_exact(xq)
     assert exact == (Fraction(3, 4) + Fraction(1, 3), Fraction(3, 2) * Fraction(-1, 27))
-    v = eval_map(f, [float(q) for q in xq])
+    v = f.eval_many([float(q) for q in xq])
     assert v == pytest.approx([float(e) for e in exact])
 
 
@@ -314,7 +312,7 @@ def test_jacobian_exact_matches_grad_map():
     f = parse_real_map("(x^2*y - z, y*z^2) vars x,y,z")
     xq = [Fraction(1, 2), Fraction(2), Fraction(-3, 4)]
     rows = f.jacobian_exact(xq)
-    J = grad_map(f, [float(q) for q in xq])
+    J = f.grad_many([float(q) for q in xq])
     assert np.allclose([[float(v) for v in row] for row in rows], J)
 
 
@@ -342,7 +340,7 @@ def test_map_equality_and_batched_eval():
     X = rng.normal(size=(30, 2))
     V = f.eval_many(X)
     for x, v in zip(X, V):
-        assert v == pytest.approx(eval_map(f, x))
+        assert v == pytest.approx(f.eval_many(x))
 
 
 @settings(max_examples=100, deadline=None)
@@ -354,5 +352,5 @@ def test_wirtinger_consistency_property(seed):
     f = psi.to_real_map()
     x = rng.uniform(-1.5, 1.5, size=2 * psi.n)
     J1 = psi.real_jacobian(reals_to_complex(x))
-    J2 = grad_map(f, x)
+    J2 = f.grad_many(x)
     assert np.allclose(J1, J2, rtol=1e-9, atol=1e-9)

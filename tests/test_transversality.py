@@ -32,10 +32,10 @@ H_MIXED = parse_mixed("z1 z1~ - z2 z2~ + z3^2 z3~")
 
 def test_tangency_matrix_shape():
     M = tangency_matrix(FAILING_MAP, [0.6, 0.8, 0.0])
-    assert M.matrix.shape == (3, 3)
-    assert np.array_equal(M.matrix[-1], [0.6, 0.8, 0.0])
-    assert np.array_equal(M.matrix[0], [0.8, 0.6, 0.0])
-    assert np.array_equal(M.matrix[1], [1.0, 0.0, 0.0])
+    assert M.shape == (3, 3)
+    assert np.array_equal(M[-1], [0.6, 0.8, 0.0])
+    assert np.array_equal(M[0], [0.8, 0.6, 0.0])
+    assert np.array_equal(M[1], [1.0, 0.0, 0.0])
 
 
 def test_tangency_matrix_rejects_bad_points():
@@ -114,8 +114,9 @@ def test_tangency_minors_exact_g():
 
 
 def test_search_rejects_bad_inputs():
-    with pytest.raises(ValueError, match="positive"):
-        search_tangency_locus(FAILING_MAP, 0.0)
+    for bad in (0.0, math.nan, math.inf):
+        with pytest.raises(ValueError, match="positive and finite"):
+            search_tangency_locus(FAILING_MAP, bad)
     square = parse_real_map("(x1) vars x1")
     with pytest.raises(ValueError, match="more variables"):
         search_tangency_locus(square, 1.0)
@@ -169,6 +170,25 @@ def test_falsifier_ex12_fails_with_certified_sequence():
     assert rep.witnesses[-1].f_norm < rep.tolerances["tol_v"]
     assert any("certified" in r for r in rep.reasons)
     assert rep.scale > 0 and rep.margin > 0
+
+
+def test_falsifier_sequence_after_a_continuation_kick():
+    # at this seed a continuation step fails and the start point is
+    # kicked; every later witness must still sit 10x below the last
+    # certified one, not below the kicked point
+    rep = falsify_transversality(FAILING_MAP, 0.25, seeds=256, rng_seed=1417903077)
+    assert rep.verdict is TransversalityVerdict.FAILS
+    fns = [w.f_norm for w in rep.witnesses]
+    assert len(fns) >= 3
+    for prev, nxt in zip(fns, fns[1:]):
+        assert nxt <= prev / 10.0
+    assert fns[-1] < rep.tolerances["tol_v"]
+
+
+def test_falsifier_rejects_bad_radius():
+    for bad in (math.nan, math.inf, -1.0):
+        with pytest.raises(ValueError, match="positive and finite"):
+            falsify_transversality(FAILING_MAP, bad)
 
 
 def test_falsifier_is_deterministic():
