@@ -3,7 +3,7 @@ transversality of real polynomial maps."""
 
 __version__ = "0.1.0"
 
-from .fiber import (FiberComparison, FiberSample, FlowParams, NewtonResult,
+from .fiber import (FiberComparison, FiberSample, NewtonResult,
                     fiber_compare, inflate_to_sphere, newton_to_fiber, phase,
                     rplus_flow, sample_fiber)
 from .mixed import (ComplexRational, DiagonalMixedPolynomial, MixedTerm,

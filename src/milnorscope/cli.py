@@ -23,11 +23,11 @@ import time
 import numpy as np
 
 from . import __version__, serialize
-from .fiber import FlowParams, fiber_compare, inflate_to_sphere, rplus_flow, sample_fiber
+from .fiber import fiber_compare, inflate_to_sphere, rplus_flow, sample_fiber
 from .mixed import DiagonalMixedPolynomial, complex_to_reals, reals_to_complex
 from .parsing import ParseError, parse_mixed, parse_real_map
 from .realpoly import RealPolynomialMap
-from .structure import analyze
+from .structure import analyze, radial_weights
 from .transversality import (DEFAULT_ITERS, DEFAULT_SEEDS, TOL_TANGENCY, TOL_V,
                              TransversalityVerdict, falsify_transversality)
 
@@ -37,10 +37,10 @@ EXIT_BAD_INPUT = 2
 EXIT_INCONCLUSIVE = 3
 
 
-def _tool_header(command: str) -> dict:
+def _tool_header(command: str, text: str) -> dict:
     return {"schema": serialize.SCHEMA,
             "tool": {"name": "milnorscope", "version": __version__},
-            "command": command}
+            "command": command, "input": text}
 
 
 def _read_input(args) -> str:
@@ -99,10 +99,22 @@ def _emit(args, payload: str) -> None:
         sys.stdout.write(payload)
 
 
-def _with_timing(doc: dict, args, t0: float) -> dict:
+def _emit_doc(args, doc: dict, t0: float) -> None:
     if not args.no_timing:
         doc["timing"] = {"seconds": time.perf_counter() - t0}
-    return doc
+    _emit(args, serialize.dumps(doc))
+
+
+def _falsify_each(args, obj, radii):
+    # the real form is built only when there is a sphere to search
+    if not radii:
+        return []
+    f = _as_real_map(obj)
+    return [falsify_transversality(
+                f, eps, seeds=args.seeds, iters=args.iters,
+                rng_seed=args.rng_seed, tol_tangency=args.tol_tangency,
+                tol_v=args.tol_v, margin=args.margin)
+            for eps in radii]
 
 
 # ----------------------------------------------------------------------
@@ -116,19 +128,12 @@ def cmd_analyze(args) -> int:
     if not isinstance(obj, DiagonalMixedPolynomial):
         raise ParseError("analyze expects a diagonal mixed polynomial", 0)
     report = analyze(obj)
-    trans = []
-    for eps in args.transversality_eps or []:
-        rep = falsify_transversality(
-            obj.to_real_map(), eps, seeds=args.seeds, iters=args.iters,
-            rng_seed=args.rng_seed, tol_tangency=args.tol_tangency,
-            tol_v=args.tol_v, margin=args.margin)
-        trans.append(serialize.transversality_json(rep))
-    doc = _tool_header("analyze")
-    doc["input"] = text
+    trans = _falsify_each(args, obj, args.transversality_eps)
+    doc = _tool_header("analyze", text)
     doc["structure"] = serialize.structure_json(report)
     if trans:
-        doc["transversality"] = trans
-    _emit(args, serialize.dumps(_with_timing(doc, args, t0)))
+        doc["transversality"] = [serialize.transversality_json(r) for r in trans]
+    _emit_doc(args, doc, t0)
     return EXIT_OK
 
 
@@ -136,19 +141,11 @@ def cmd_transversality(args) -> int:
     t0 = time.perf_counter()
     text = _read_input(args)
     f = _as_real_map(_parse_any(text, args.kind))
-    reports = []
-    verdicts = []
-    for eps in args.eps:
-        rep = falsify_transversality(
-            f, eps, seeds=args.seeds, iters=args.iters,
-            rng_seed=args.rng_seed, tol_tangency=args.tol_tangency,
-            tol_v=args.tol_v, margin=args.margin)
-        reports.append(serialize.transversality_json(rep))
-        verdicts.append(rep.verdict)
-    doc = _tool_header("transversality")
-    doc["input"] = text
+    reports = _falsify_each(args, f, args.eps)
+    verdicts = [r.verdict for r in reports]
+    doc = _tool_header("transversality", text)
     doc["map"] = serialize.map_json(f)
-    doc["reports"] = reports
+    doc["reports"] = [serialize.transversality_json(r) for r in reports]
     if any(v is TransversalityVerdict.FAILS for v in verdicts):
         code = EXIT_FAILS
         doc["aggregate_verdict"] = TransversalityVerdict.FAILS.value
@@ -159,7 +156,7 @@ def cmd_transversality(args) -> int:
         code = EXIT_OK
         doc["aggregate_verdict"] = TransversalityVerdict.HOLDS.value
     doc["exit_code"] = code
-    _emit(args, serialize.dumps(_with_timing(doc, args, t0)))
+    _emit_doc(args, doc, t0)
     return code
 
 
@@ -176,20 +173,18 @@ def cmd_fiber(args) -> int:
             raise ParseError(f"--compare needs {f.p} components, got {len(value2)}", 0)
         cmp = fiber_compare(f, value, value2, args.eps, count=args.count,
                             rng_seed=args.rng_seed)
-        doc = _tool_header("fiber")
-        doc["input"] = text
+        doc = _tool_header("fiber", text)
         doc["compare"] = serialize.fiber_compare_json(cmp)
-        _emit(args, serialize.dumps(_with_timing(doc, args, t0)))
+        _emit_doc(args, doc, t0)
         return EXIT_OK
     sample = sample_fiber(f, value, args.eps, count=args.count,
                           rng_seed=args.rng_seed)
     if args.format == "csv":
         _emit(args, serialize.fiber_csv(sample, f.var_names))
         return EXIT_OK
-    doc = _tool_header("fiber")
-    doc["input"] = text
+    doc = _tool_header("fiber", text)
     doc["fiber"] = serialize.fiber_json(sample)
-    _emit(args, serialize.dumps(_with_timing(doc, args, t0)))
+    _emit_doc(args, doc, t0)
     return EXIT_OK
 
 
@@ -199,10 +194,7 @@ def cmd_flow(args) -> int:
     obj = _parse_any(text, args.kind)
     if not isinstance(obj, DiagonalMixedPolynomial):
         raise ParseError("flow expects a diagonal mixed polynomial", 0)
-    try:
-        params = FlowParams.of(obj)
-    except ValueError as exc:
-        raise ParseError(str(exc), 0) from None
+    params = radial_weights(obj)
     coords = _floats(args.point)
     if len(coords) != 2 * obj.n:
         raise ParseError(
@@ -230,8 +222,7 @@ def cmd_flow(args) -> int:
         entry["phase"] = ([val.real / abs(val), val.imag / abs(val)]
                           if abs(val) > 1e-12 else None)
         samples.append(entry)
-    doc = _tool_header("flow")
-    doc["input"] = text
+    doc = _tool_header("flow", text)
     doc["flow_params"] = serialize.flow_params_json(params)
     doc["base_point"] = coords
     doc["samples"] = samples
@@ -246,7 +237,7 @@ def cmd_flow(args) -> int:
         })
     if inflations:
         doc["inflate"] = inflations
-    _emit(args, serialize.dumps(_with_timing(doc, args, t0)))
+    _emit_doc(args, doc, t0)
     return EXIT_OK
 
 
@@ -330,10 +321,7 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
     try:
         return args.func(args)
-    except ParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_BAD_INPUT
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError) as exc:  # ParseError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_INPUT
 

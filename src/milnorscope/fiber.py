@@ -26,27 +26,14 @@ import numpy as np
 from . import sampling
 from .mixed import DiagonalMixedPolynomial
 from .realpoly import RealPolynomialMap
-from .structure import radial_weights
+from .structure import RadialWeights
 
 NEWTON_TOL = 1e-10
 NEWTON_MAX_ITER = 100
 MIN_RELIABLE_POINTS = 10
 
 
-@dataclass(frozen=True)
-class FlowParams:
-    """Weights p_j and degree a of the R+ action t . z = (t^{p_j} z_j)."""
-
-    degree: int
-    weights: tuple[int, ...]
-
-    @classmethod
-    def of(cls, psi: DiagonalMixedPolynomial) -> "FlowParams":
-        rw = radial_weights(psi)
-        return cls(rw.degree, rw.weights)
-
-
-def rplus_flow(params: FlowParams, t: float, z) -> np.ndarray:
+def rplus_flow(params: RadialWeights, t: float, z) -> np.ndarray:
     """Apply the flow: multiply each coordinate z_j by t^{p_j} (t > 0)."""
     if t <= 0:
         raise ValueError("flow parameter t must be positive")
@@ -57,14 +44,14 @@ def rplus_flow(params: FlowParams, t: float, z) -> np.ndarray:
     return z * factors
 
 
-def inflate_to_sphere(params: FlowParams, z, eps: float) -> tuple[float, np.ndarray]:
+def inflate_to_sphere(params: RadialWeights, z, eps: float) -> tuple[float, np.ndarray]:
     """Unique t > 0 with |t . z| = eps, and the flowed point.
 
     |t . z|^2 = sum t^{2 p_j} |z_j|^2 is strictly increasing in t, so
     safeguarded Newton on sqrt of it converges to the unique root; the
     radius error of the returned point is below 1e-12.
     """
-    sampling.check_radius(eps)
+    sampling.check_positive("eps", eps)
     z = np.asarray(z, dtype=complex)
     if z.shape != (len(params.weights),):
         raise ValueError("point has wrong dimension")
@@ -318,7 +305,7 @@ def sample_fiber(f: RealPolynomialMap, c, eps: float,
     rank-deficient (singular-value ratio below 1e-8) are counted in
     singular_count.  eps must be positive and finite, and c finite.
     """
-    sampling.check_radius(eps)
+    sampling.check_positive("eps", eps)
     c = np.asarray(c, dtype=float)
     if c.shape != (f.p,):
         raise ValueError("target value has wrong dimension")

@@ -258,10 +258,6 @@ def parse_mixed(text: str) -> DiagonalMixedPolynomial:
     return DiagonalMixedPolynomial(n, terms)
 
 
-def _render_frac(q: Fraction) -> str:
-    return str(q)
-
-
 def render_mixed(psi: DiagonalMixedPolynomial) -> str:
     """Render a polynomial in the syntax accepted by parse_mixed."""
     pieces = []
@@ -271,15 +267,15 @@ def render_mixed(psi: DiagonalMixedPolynomial) -> str:
         if c.im == 0:
             neg = c.re < 0
             mag = abs(c.re)
-            coeff_str = "" if mag == 1 else _render_frac(mag)
+            coeff_str = "" if mag == 1 else str(mag)
         elif c.re == 0:
             neg = c.im < 0
             mag = abs(c.im)
-            coeff_str = "i" if mag == 1 else _render_frac(mag) + "i"
+            coeff_str = "i" if mag == 1 else str(mag) + "i"
         else:
             im_mag = abs(c.im)
-            im_str = "i" if im_mag == 1 else _render_frac(im_mag) + "i"
-            coeff_str = f"({_render_frac(c.re)}{'+' if c.im > 0 else '-'}{im_str})"
+            im_str = "i" if im_mag == 1 else str(im_mag) + "i"
+            coeff_str = f"({c.re}{'+' if c.im > 0 else '-'}{im_str})"
         factors = []
         if t.a > 0:
             factors.append(f"z{t.j}" + (f"^{t.a}" if t.a > 1 else ""))
@@ -444,7 +440,7 @@ def render_real_map(f: RealPolynomialMap) -> str:
         mag = abs(coeff)
         parts = []
         if mag != 1 or not any(expo):
-            parts.append(_render_frac(mag))
+            parts.append(str(mag))
         for name, e in zip(f.var_names, expo):
             if e == 1:
                 parts.append(name)

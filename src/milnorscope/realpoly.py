@@ -10,6 +10,7 @@ batches of points.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
@@ -33,6 +34,19 @@ def _clean(component: Monomials, n: int) -> dict[tuple[int, ...], Fraction]:
             if out[expo] == 0:
                 del out[expo]
     return out
+
+
+def _flatten(polys: Sequence[Monomials], n: int):
+    # one row of exponents per monomial, with the index of the polynomial
+    # it belongs to, and the number of polynomials
+    expos, coeffs, seg = [], [], []
+    for k, poly in enumerate(polys):
+        for e, c in poly.items():
+            expos.append(e)
+            coeffs.append(float(c))
+            seg.append(k)
+    return (np.array(expos, dtype=np.int64).reshape(-1, n), np.array(coeffs, dtype=float),
+            np.array(seg, dtype=np.int64), len(polys))
 
 
 class RealPolynomialMap:
@@ -68,8 +82,6 @@ class RealPolynomialMap:
             if len(set(var_names)) != self.n:
                 raise ValueError("duplicate variable name")
         self.var_names = var_names
-        self._compiled = None
-        self._compiled_grad = None
         self._partials: dict[tuple[int, int], dict[tuple[int, ...], Fraction]] = {}
 
     # ------------------------------------------------------------------
@@ -145,86 +157,37 @@ class RealPolynomialMap:
     # ------------------------------------------------------------------
     # compiled float layer
 
-    def _compile(self):
-        # flat arrays: one row of exponents per monomial, with a segment
-        # index saying which component it belongs to
-        if self._compiled is None:
-            expos, coeffs, seg = [], [], []
-            for i, comp in enumerate(self.components):
-                for e, c in comp.items():
-                    expos.append(e)
-                    coeffs.append(float(c))
-                    seg.append(i)
-            if expos:
-                E = np.array(expos, dtype=np.int64)
-                C = np.array(coeffs)
-                S = np.array(seg, dtype=np.int64)
-            else:
-                E = np.zeros((0, self.n), dtype=np.int64)
-                C = np.zeros(0)
-                S = np.zeros(0, dtype=np.int64)
-            self._compiled = (E, C, S)
-        return self._compiled
+    @functools.cached_property
+    def _compiled(self):
+        return _flatten(self.components, self.n)
 
-    def _compile_grad(self):
-        if self._compiled_grad is None:
-            expos, coeffs, seg = [], [], []
-            for i in range(self.p):
-                for j in range(self.n):
-                    for e, c in self.partial(i, j).items():
-                        expos.append(e)
-                        coeffs.append(float(c))
-                        seg.append(i * self.n + j)
-            if expos:
-                E = np.array(expos, dtype=np.int64)
-                C = np.array(coeffs)
-                S = np.array(seg, dtype=np.int64)
-            else:
-                E = np.zeros((0, self.n), dtype=np.int64)
-                C = np.zeros(0)
-                S = np.zeros(0, dtype=np.int64)
-            self._compiled_grad = (E, C, S)
-        return self._compiled_grad
+    @functools.cached_property
+    def _compiled_grad(self):
+        return _flatten([self.partial(i, j) for i in range(self.p) for j in range(self.n)],
+                        self.n)
 
-    @staticmethod
-    def _segsum(vals: np.ndarray, seg: np.ndarray, nseg: int) -> np.ndarray:
-        # vals (N, m), seg (m,) -> (N, nseg)
-        out = np.zeros((vals.shape[0], nseg))
-        np.add.at(out.T, seg, vals.T)
-        return out
+    def _evaluate(self, X, compiled, shape: tuple[int, ...]) -> np.ndarray:
+        # sum each monomial's value into the polynomial it belongs to
+        X = np.asarray(X, dtype=float)
+        single = X.ndim == 1
+        if single:
+            X = X[None, :]
+        if X.shape[1] != self.n:
+            raise ValueError("points have wrong dimension")
+        E, C, S, count = compiled
+        P = np.prod(X[:, None, :] ** E[None, :, :], axis=2)
+        vals = np.zeros((X.shape[0], count))
+        np.add.at(vals.T, S, (P * C).T)
+        vals = vals.reshape((X.shape[0],) + shape)
+        return vals[0] if single else vals
 
     def eval_many(self, X: np.ndarray) -> np.ndarray:
         """Evaluate at a batch of points.  X is (N, n); returns (N, p)."""
-        X = np.asarray(X, dtype=float)
-        single = X.ndim == 1
-        if single:
-            X = X[None, :]
-        if X.shape[1] != self.n:
-            raise ValueError("points have wrong dimension")
-        E, C, S = self._compile()
-        if len(C) == 0:
-            vals = np.zeros((X.shape[0], self.p))
-        else:
-            P = np.prod(X[:, None, :] ** E[None, :, :], axis=2)
-            vals = self._segsum(P * C, S, self.p)
-        return vals[0] if single else vals
+        return self._evaluate(X, self._compiled, (self.p,))
 
     def grad_many(self, X: np.ndarray) -> np.ndarray:
         """Jacobians at a batch of points.  X is (N, n); returns (N, p, n)."""
-        X = np.asarray(X, dtype=float)
-        single = X.ndim == 1
-        if single:
-            X = X[None, :]
-        if X.shape[1] != self.n:
-            raise ValueError("points have wrong dimension")
-        E, C, S = self._compile_grad()
-        if len(C) == 0:
-            vals = np.zeros((X.shape[0], self.p * self.n))
-        else:
-            P = np.prod(X[:, None, :] ** E[None, :, :], axis=2)
-            vals = self._segsum(P * C, S, self.p * self.n)
-        vals = vals.reshape(X.shape[0], self.p, self.n)
-        return vals[0] if single else vals
+        return self._evaluate(X, self._compiled_grad, (self.p, self.n))
 
     def __call__(self, x) -> np.ndarray:
         return self.eval_many(np.asarray(x, dtype=float))

@@ -11,10 +11,10 @@ from scipy.stats import qmc
 _TINY = 1e-12
 
 
-def check_radius(eps: float) -> None:
-    """Raise ValueError unless eps is a positive finite radius."""
-    if not (eps > 0 and math.isfinite(eps)):
-        raise ValueError(f"eps must be positive and finite, got {eps!r}")
+def check_positive(name: str, value: float) -> None:
+    """Raise ValueError unless the argument `name` is positive and finite."""
+    if not (value > 0 and math.isfinite(value)):
+        raise ValueError(f"{name} must be positive and finite, got {value!r}")
 
 
 def _sobol(d: int, count: int, seed: int) -> np.ndarray:

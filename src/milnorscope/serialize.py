@@ -2,33 +2,30 @@
 
 Exact rationals are rendered as strings ("3/2"), complex rationals as
 {"re": ..., "im": ...} pairs of such strings, floats as repr round-trip
-values.  Key order is fixed by construction so that a run with the same
+values, and non-finite floats as null (RFC 8259 has no NaN or
+Infinity).  Key order is fixed by construction so that a run with the same
 inputs and seed produces byte-identical output.
 """
 
 from __future__ import annotations
 
 import json
-from fractions import Fraction
+import math
 
 import numpy as np
 
-from .fiber import FiberComparison, FiberSample, FlowParams
+from .fiber import FiberComparison, FiberSample
 from .mixed import ComplexRational, DiagonalMixedPolynomial
 from .parsing import render_mixed, render_real_map
 from .realpoly import RealPolynomialMap
-from .structure import StructureReport
+from .structure import RadialWeights, StructureReport
 from .transversality import TangencyWitness, TransversalityReport
 
 SCHEMA = "milnor-scope/1"
 
 
-def frac_str(q: Fraction) -> str:
-    return str(q)
-
-
 def cplx(c: ComplexRational) -> dict:
-    return {"re": frac_str(c.re), "im": frac_str(c.im)}
+    return {"re": str(c.re), "im": str(c.im)}
 
 
 def floatlist(a) -> list:
@@ -60,7 +57,7 @@ def structure_json(report: StructureReport) -> dict:
             "indices": list(cls.indices),
             "direction": cplx(cls.direction),
             "theta": float(cls.theta),
-            "ratios": {str(j): frac_str(t) for j, t in sorted(cls.ratios.items())},
+            "ratios": {str(j): str(t) for j, t in sorted(cls.ratios.items())},
             "mu": {str(j): cls.mu(j) for j in cls.indices},
             "all_same_argument": cls.all_same_argument,
         })
@@ -85,8 +82,7 @@ def structure_json(report: StructureReport) -> dict:
         "note": disc.note,
     }
     if report.radial_weights is not None:
-        weights = {"degree": report.radial_weights.degree,
-                   "weights": list(report.radial_weights.weights)}
+        weights = flow_params_json(report.radial_weights)
     else:
         weights = {"error": report.radial_weights_error}
     return {
@@ -170,7 +166,7 @@ def fiber_compare_json(cmp: FiberComparison) -> dict:
     }
 
 
-def flow_params_json(params: FlowParams) -> dict:
+def flow_params_json(params: RadialWeights) -> dict:
     return {"degree": params.degree, "weights": list(params.weights)}
 
 
@@ -185,5 +181,16 @@ def fiber_csv(sample: FiberSample, var_names) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _finite(obj):
+    if isinstance(obj, float):
+        return obj if math.isfinite(obj) else None
+    if isinstance(obj, dict):
+        return {k: _finite(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_finite(v) for v in obj]
+    return obj
+
+
 def dumps(obj: dict) -> str:
-    return json.dumps(obj, indent=2, ensure_ascii=False) + "\n"
+    """Indented JSON with every non-finite float written as null."""
+    return json.dumps(_finite(obj), indent=2, ensure_ascii=False, allow_nan=False) + "\n"

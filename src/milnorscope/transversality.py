@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -105,7 +105,7 @@ def tangency_minors_exact(f: RealPolynomialMap, x) -> list[Fraction]:
 
 
 # ----------------------------------------------------------------------
-# batched engine
+# batched fields on the sphere
 
 
 def _eigmin_sym3(A: np.ndarray) -> np.ndarray:
@@ -132,39 +132,33 @@ def _eigmin_sym3(A: np.ndarray) -> np.ndarray:
     return np.where(safe, lam, q)
 
 
-class _Engine:
-    """Vectorised evaluation of the dependence measure and |f| on batches."""
+def _matrices(f: RealPolynomialMap, X: np.ndarray) -> np.ndarray:
+    return np.concatenate([f.grad_many(X), X[:, None, :]], axis=1)
 
-    def __init__(self, f: RealPolynomialMap):
-        self.f = f
-        self.m = f.p + 1
 
-    def matrix_batch(self, X: np.ndarray) -> np.ndarray:
-        J = self.f.grad_many(X)
-        return np.concatenate([J, X[:, None, :]], axis=1)
+def _sigma(f: RealPolynomialMap, X: np.ndarray) -> np.ndarray:
+    # full-precision dependence measure, batched
+    return _sigma_min(_matrices(f, X))
 
-    def sigma_batch(self, X: np.ndarray) -> np.ndarray:
-        # fast Gram-based value; absolute accuracy bottoms out near 1e-8
-        Mh, zero = _normalized(self.matrix_batch(X))
-        if self.m > self.f.n:
-            return np.zeros(len(X))
-        G = Mh @ np.transpose(Mh, (0, 2, 1))
-        if self.m == 2:
-            lam = 1.0 - np.abs(G[:, 0, 1])
-        elif self.m == 3:
-            lam = _eigmin_sym3(G)
-        else:
-            lam = np.linalg.eigvalsh(G)[:, 0]
-        sig = np.sqrt(np.clip(lam, 0.0, None))
-        sig[zero] = 0.0
-        return sig
 
-    def sigma_batch_svd(self, X: np.ndarray) -> np.ndarray:
-        # full-precision smallest singular value, still batched
-        return _sigma_min(self.matrix_batch(X))
+def _sigma_gram(f: RealPolynomialMap, X: np.ndarray) -> np.ndarray:
+    # fast Gram-based value for the descent (needs n > p); absolute
+    # accuracy bottoms out near 1e-8
+    Mh, zero = _normalized(_matrices(f, X))
+    G = Mh @ np.transpose(Mh, (0, 2, 1))
+    if f.p == 1:
+        lam = 1.0 - np.abs(G[:, 0, 1])
+    elif f.p == 2:
+        lam = _eigmin_sym3(G)
+    else:
+        lam = np.linalg.eigvalsh(G)[:, 0]
+    sig = np.sqrt(np.clip(lam, 0.0, None))
+    sig[zero] = 0.0
+    return sig
 
-    def fnorm_batch(self, X: np.ndarray) -> np.ndarray:
-        return np.linalg.norm(self.f.eval_many(X), axis=1)
+
+def _fnorm(f: RealPolynomialMap, X: np.ndarray) -> np.ndarray:
+    return np.linalg.norm(f.eval_many(X), axis=1)
 
 
 def _project(X: np.ndarray, eps: float) -> np.ndarray:
@@ -215,13 +209,13 @@ class LocusSearchResult:
     converged: int
 
 
-def _make_witness(engine: _Engine, x: np.ndarray, eps: float,
+def _make_witness(f: RealPolynomialMap, x: np.ndarray, eps: float,
                   tol_tangency: float) -> TangencyWitness:
-    J = engine.f.grad_many(x[None])
+    J = f.grad_many(x[None])
     sigma = float(_sigma_min(np.concatenate([J, x[None, None, :]], axis=1))[0])
     sigma_grad = float(_sigma_min(J)[0])
-    f_norm = float(engine.fnorm_batch(x[None])[0])
-    smin = np.linalg.svd(J[0], compute_uv=False)[-1] if engine.f.p <= engine.f.n else 0.0
+    f_norm = float(_fnorm(f, x[None])[0])
+    smin = np.linalg.svd(J[0], compute_uv=False)[-1] if f.p <= f.n else 0.0
     dist_v = f_norm / smin if smin > 1e-300 else math.inf
     return TangencyWitness(point=x.copy(), eps=eps, sigma=sigma,
                            sigma_grad=sigma_grad, f_norm=f_norm,
@@ -229,23 +223,24 @@ def _make_witness(engine: _Engine, x: np.ndarray, eps: float,
                            near_critical=sigma_grad < tol_tangency)
 
 
-def _descend_sigma(engine: _Engine, X: np.ndarray, eps: float, iters: int,
-                   value_batch=None, freeze_below: float = 1e-11) -> np.ndarray:
-    """Multistart projected descent of a scalar field on the sphere."""
-    if value_batch is None:
-        value_batch = engine.sigma_batch
+def _descend_sigma(field, X: np.ndarray, eps: float, iters: int,
+                   freeze_below: float) -> np.ndarray:
+    """Multistart projected descent of a batched scalar field on the sphere.
+
+    A point stops once its value drops below `freeze_below`.
+    """
     X = _project(np.array(X, dtype=float), eps)
     N = len(X)
     alpha = np.full(N, 0.05 * eps)
     active = np.ones(N, dtype=bool)
     h = 1e-6 * eps
-    val = value_batch(X)
+    val = field(X)
     for _ in range(iters):
         idx = np.where(active)[0]
         if idx.size == 0:
             break
         Xa = X[idx]
-        G = _fd_grad(value_batch, Xa, h)
+        G = _fd_grad(field, Xa, h)
         G = _tangent_part(G, Xa, eps)
         gn2 = np.sum(G * G, axis=1)
         va = val[idx]
@@ -261,7 +256,7 @@ def _descend_sigma(engine: _Engine, X: np.ndarray, eps: float, iters: int,
                 break
             ridx = np.where(rem)[0]
             T = _project(Xa[ridx] - al[ridx, None] * G[ridx], eps)
-            vT = value_batch(T)
+            vT = field(T)
             ok = vT <= va[ridx] - 1e-4 * al[ridx] * gn2[ridx]
             hit = ridx[ok]
             newX[hit] = T[ok]
@@ -279,7 +274,7 @@ def _descend_sigma(engine: _Engine, X: np.ndarray, eps: float, iters: int,
     return X
 
 
-def _polish_batch(engine: _Engine, X: np.ndarray, eps: float,
+def _polish_batch(f: RealPolynomialMap, X: np.ndarray, eps: float,
                   iters: int = 14) -> tuple[np.ndarray, np.ndarray]:
     """Newton-style sharpening of near-tangency points using exact SVD values.
 
@@ -288,8 +283,11 @@ def _polish_batch(engine: _Engine, X: np.ndarray, eps: float,
     fast; the step length for differencing shrinks with sigma to stay
     on one side of the kink.
     """
+    def sigma(X):
+        return _sigma(f, X)
+
     X = _project(np.array(X, dtype=float), eps)
-    s = engine.sigma_batch_svd(X)
+    s = sigma(X)
     for _ in range(iters):
         live = s > 1e-13
         if not live.any():
@@ -297,7 +295,7 @@ def _polish_batch(engine: _Engine, X: np.ndarray, eps: float,
         idx = np.where(live)[0]
         Xa = X[idx]
         h = np.clip(0.05 * s[idx] * eps, 1e-9 * eps, 1e-6 * eps)
-        G = _fd_grad(engine.sigma_batch_svd, Xa, h)
+        G = _fd_grad(sigma, Xa, h)
         G = _tangent_part(G, Xa, eps)
         gn2 = np.sum(G * G, axis=1)
         ok_grad = gn2 > 1e-30
@@ -310,7 +308,7 @@ def _polish_batch(engine: _Engine, X: np.ndarray, eps: float,
                 break
             ridx = np.where(rem)[0]
             T = _project(Xa[ridx] - step[ridx, None] * G[ridx], eps)
-            sT = engine.sigma_batch_svd(T)
+            sT = sigma(T)
             good = sT < cur[ridx]
             hit = ridx[good]
             Xa[hit] = T[good]
@@ -340,29 +338,28 @@ def search_tangency_locus(f: RealPolynomialMap, eps: float, *,
     reported separately as critical hits.  `extra_seeds` adds caller
     chosen start points (projected to the sphere) to the multistart.
     """
-    sampling.check_radius(eps)
+    sampling.check_positive("eps", eps)
     if f.n <= f.p:
         raise ValueError("need more variables than components")
-    engine = _Engine(f)
     X = sampling.sphere_points(f.n, seeds, eps, rng_seed)
     if extra_seeds is not None:
         P = np.asarray(extra_seeds, dtype=float).reshape(-1, f.n)
         if len(P):
             X = np.vstack([X, _project(P, eps)])
-    X = _descend_sigma(engine, X, eps, iters)
+    X = _descend_sigma(lambda X: _sigma_gram(f, X), X, eps, iters, 1e-11)
     # enter the sharpening stage only from a plausible basin
-    sig = engine.sigma_batch_svd(X)
+    sig = _sigma(f, X)
     cand = X[sig < 1e-3]
     if len(cand) == 0:
         return LocusSearchResult((), (), attempted=len(X), converged=0)
-    cand, s = _polish_batch(engine, cand, eps)
+    cand, s = _polish_batch(f, cand, eps)
     keep = s < tol_tangency
     cand = cand[keep]
     converged = int(np.count_nonzero(keep))
     witnesses = []
     criticals = []
     for x in cand:
-        w = _make_witness(engine, x, eps, tol_tangency)
+        w = _make_witness(f, x, eps, tol_tangency)
         (criticals if w.near_critical else witnesses).append(w)
 
     def dedup(ws):
@@ -402,38 +399,32 @@ class TransversalityReport:
     caveats: tuple[str, ...] = _CAVEATS
 
 
-def _minimize_on_sphere(engine: _Engine, x0: np.ndarray, eps: float,
-                        value_batch, iters: int = 250) -> np.ndarray:
-    X = _descend_sigma(engine, x0[None], eps, iters, value_batch=value_batch,
-                       freeze_below=-1.0)
-    return X[0]
+def _level_objective(f: RealPolynomialMap, target: float, scale: float):
+    """Zero exactly at the tangency points where |f| equals `target`."""
+    def value(X):
+        return ((_fnorm(f, X) - target) / scale) ** 2 + _sigma(f, X) ** 2
+    return value
 
 
-def _build_sequence(engine: _Engine, eps: float, start: TangencyWitness,
+def _certify(f: RealPolynomialMap, x: np.ndarray, eps: float, target: float,
+             scale: float, tol_tangency: float, iters: int) -> TangencyWitness:
+    """Descend from x toward the tangency point at level |f| = target,
+    sharpen it with exact singular values, and measure it."""
+    X = _descend_sigma(_level_objective(f, target, scale), x[None], eps, iters, -1.0)
+    X, _ = _polish_batch(f, X, eps)
+    return _make_witness(f, X[0], eps, tol_tangency)
+
+
+def _build_sequence(f: RealPolynomialMap, eps: float, start: TangencyWitness,
                     tol_tangency: float, tol_v: float, scale: float,
                     margin: float, rng: np.random.Generator):
     """Continuation along the tangency locus with |f| targets / 10 each step."""
-
-    def target_objective(target):
-        def val(X):
-            fn = engine.fnorm_batch(X)
-            sg = engine.sigma_batch_svd(X)
-            return ((fn - target) / scale) ** 2 + sg ** 2
-        return val
-
-    def certify(x):
-        x = _project(x[None], eps)[0]
-        x, s = _polish_batch(engine, x[None], eps)
-        x = x[0]
-        return _make_witness(engine, x, eps, tol_tangency)
-
     seq = [start]
     # if the search already sits essentially on V, restart the chain from a
     # tangency point at a comfortable |f| level so the decrease is visible
     if start.f_norm < 200 * tol_v:
         lift = max(margin * 0.5, 400 * tol_v)
-        x = _minimize_on_sphere(engine, start.point, eps, target_objective(lift))
-        w = certify(x)
+        w = _certify(f, start.point, eps, lift, scale, tol_tangency, 250)
         if w.sigma < tol_tangency and not w.near_critical and w.f_norm > 100 * tol_v:
             seq = [w]
     # every test reads the last certified witness; after a failed step
@@ -447,8 +438,7 @@ def _build_sequence(engine: _Engine, eps: float, start: TangencyWitness,
         # aim below the required 10x decrease so convergence error in the
         # target minimisation cannot land a hair above the threshold
         target = max(last.f_norm / 12.5, tol_v / 25.0)
-        x = _minimize_on_sphere(engine, start_pt, eps, target_objective(target))
-        w = certify(x)
+        w = _certify(f, start_pt, eps, target, scale, tol_tangency, 250)
         good = (w.sigma < tol_tangency and not w.near_critical
                 and 0.0 < w.f_norm <= last.f_norm / 10.0)
         if good:
@@ -482,13 +472,19 @@ def falsify_transversality(f: RealPolynomialMap, eps: float, *,
     `tol_tangency` and none on the critical set.  Support is the
     statement that every regular-fiber tangency found keeps |f| above
     the margin (default: 1e-2 times the median of |f| on the sphere).
-    eps must be positive and finite.
+    eps, seeds, the tolerances and a given margin must be positive and
+    finite, and iters at least zero.
     """
-    sampling.check_radius(eps)
-    engine = _Engine(f)
+    given = {"eps": eps, "seeds": seeds, "tol_tangency": tol_tangency,
+             "tol_v": tol_v, "margin": margin}
+    for name, value in given.items():
+        if value is not None:
+            sampling.check_positive(name, value)
+    if iters < 0:
+        raise ValueError(f"iters must be zero or positive and finite, got {iters!r}")
     rng = np.random.default_rng(rng_seed + 7919)
     sample = sampling.sphere_points(f.n, 2048, eps, rng_seed + 101)
-    fvals = engine.fnorm_batch(sample)
+    fvals = _fnorm(f, sample)
     scale = float(np.median(fvals))
     if margin is None:
         margin = MARGIN_FACTOR * scale
@@ -497,10 +493,8 @@ def falsify_transversality(f: RealPolynomialMap, eps: float, *,
     # set misses the sphere entirely
     order = np.argsort(fvals)
     starts = sample[order[:16]]
-    refined = _descend_sigma(engine, starts, eps, 150,
-                             value_batch=lambda X: engine.fnorm_batch(X) ** 2,
-                             freeze_below=-1.0)
-    v_min = float(min(fvals.min(), engine.fnorm_batch(refined).min()))
+    refined = _descend_sigma(lambda X: _fnorm(f, X) ** 2, starts, eps, 150, -1.0)
+    v_min = float(min(fvals.min(), _fnorm(f, refined).min()))
 
     locus = search_tangency_locus(
         f, eps, seeds=seeds, iters=iters, rng_seed=rng_seed,
@@ -539,18 +533,9 @@ def falsify_transversality(f: RealPolynomialMap, eps: float, *,
             # |f| under the margin along the locus from the best witnesses
             # (targeting half the margin, not zero: the |f| -> 0 end of a
             # tangency branch can sit on the critical set)
-            pilot_target = 0.5 * margin
-
-            def toward_margin(X):
-                fn = engine.fnorm_batch(X)
-                sg = engine.sigma_batch_svd(X)
-                return ((fn - pilot_target) / scale) ** 2 + sg ** 2
-
             for w in locus.witnesses[:3]:
-                x = _minimize_on_sphere(engine, w.point, eps, toward_margin,
-                                        iters=300)
-                x, _ = _polish_batch(engine, x[None], eps)
-                cand = _make_witness(engine, x[0], eps, tol_tangency)
+                cand = _certify(f, w.point, eps, 0.5 * margin, scale,
+                                tol_tangency, 300)
                 if (cand.sigma < tol_tangency and not cand.near_critical
                         and cand.f_norm < best.f_norm):
                     best = cand
@@ -563,7 +548,7 @@ def falsify_transversality(f: RealPolynomialMap, eps: float, *,
                  f"{best.f_norm:.6g}, above the margin {margin:.6g}, and "
                  "descending |f| along the tangency locus from the best "
                  "witnesses did not cross it"])
-        seq = _build_sequence(engine, eps, best, tol_tangency, tol_v,
+        seq = _build_sequence(f, eps, best, tol_tangency, tol_v,
                               scale, margin, rng)
         if seq is not None:
             return report(

@@ -17,7 +17,16 @@ FAST = ["--seeds", "48", "--iters", "150", "--no-timing"]
 def run(capsys, argv):
     code = main(argv)
     captured = capsys.readouterr()
+    if captured.out.startswith("{"):
+        strict_json(captured.out)  # every JSON output must be RFC 8259
     return code, captured.out, captured.err
+
+
+def strict_json(text):
+    """Parse RFC 8259 JSON: NaN, Infinity and -Infinity are errors."""
+    def reject(name):
+        raise ValueError(f"not RFC 8259 JSON: {name}")
+    return json.loads(text, parse_constant=reject)
 
 
 # ----------------------------------------------------------------------
@@ -28,7 +37,7 @@ def test_analyze_worked_example(capsys):
     code, out, err = run(capsys, ["analyze", WORKED, "--no-timing"])
     assert code == 0
     assert err == ""
-    doc = json.loads(out)
+    doc = strict_json(out)
     assert doc["schema"] == "milnor-scope/1"
     assert doc["command"] == "analyze"
     assert doc["input"] == WORKED
@@ -44,14 +53,14 @@ def test_analyze_worked_example(capsys):
 def test_analyze_timing_present_by_default(capsys):
     code, out, _ = run(capsys, ["analyze", "z1 z1~"])
     assert code == 0
-    doc = json.loads(out)
+    doc = strict_json(out)
     assert doc["timing"]["seconds"] >= 0
 
 
 def test_analyze_with_attached_transversality(capsys):
     code, out, _ = run(capsys, ["analyze", G, "--transversality-eps", "1"] + FAST)
     assert code == 0
-    doc = json.loads(out)
+    doc = strict_json(out)
     assert len(doc["transversality"]) == 1
     assert doc["transversality"][0]["verdict"] == "HoldsAtBudget"
 
@@ -70,7 +79,7 @@ def test_analyze_rejects_real_maps(capsys):
 def test_transversality_failure_exit_code(capsys):
     code, out, _ = run(capsys, ["transversality", FAILING_MAP, "--eps", "1"] + FAST)
     assert code == 1
-    doc = json.loads(out)
+    doc = strict_json(out)
     assert doc["aggregate_verdict"] == "FailsWithWitness"
     assert doc["exit_code"] == 1
     assert doc["map"]["n"] == 3 and doc["map"]["p"] == 2
@@ -84,7 +93,7 @@ def test_transversality_failure_exit_code(capsys):
 def test_transversality_holds_on_mixed_input(capsys):
     code, out, _ = run(capsys, ["transversality", G, "--eps", "1,0.5"] + FAST)
     assert code == 0
-    doc = json.loads(out)
+    doc = strict_json(out)
     assert doc["aggregate_verdict"] == "HoldsAtBudget"
     assert [r["eps"] for r in doc["reports"]] == [1.0, 0.5]
 
@@ -93,8 +102,17 @@ def test_transversality_inconclusive_exit_code(capsys):
     code, out, _ = run(capsys, ["transversality", FAILING_MAP, "--eps", "1",
                                 "--seeds", "1", "--iters", "1", "--no-timing"])
     assert code == 3
-    doc = json.loads(out)
+    doc = strict_json(out)
     assert doc["aggregate_verdict"] == "Inconclusive"
+
+
+def test_empty_locus_is_strict_json(capsys):
+    code, out, _ = run(capsys, ["transversality", FAILING_MAP, "--eps", "1",
+                                "--seeds", "8", "--iters", "0", "--no-timing"])
+    assert code == 3
+    rep = strict_json(out)["reports"][0]
+    assert rep["locus_count"] == 0
+    assert rep["min_locus_f_norm"] is None
 
 
 def test_transversality_rejects_negative_radius(capsys):
@@ -117,7 +135,7 @@ def test_fiber_json(capsys):
     code, out, _ = run(capsys, ["fiber", FAILING_MAP, "--value", "1,0", "--eps", "3",
                                 "--count", "300", "--no-timing"])
     assert code == 0
-    doc = json.loads(out)
+    doc = strict_json(out)
     fib = doc["fiber"]
     assert fib["schema"] == "milnor-scope/1"
     assert fib["component_count"] == 2
@@ -145,7 +163,7 @@ def test_fiber_compare(capsys):
                                 "--compare", "0,1", "--eps", "3",
                                 "--count", "300", "--no-timing"])
     assert code == 0
-    doc = json.loads(out)
+    doc = strict_json(out)
     assert doc["compare"]["component_counts"] == [2, 1]
     assert "points" not in doc["compare"]["first"]
 
@@ -173,6 +191,12 @@ def test_fiber_bad_numeric_list(capsys):
     ["flow", G, "--point", "1,0,1,0", "--eps", "nan"],
     ["flow", G, "--point", "1,nan,1,0"],
     ["flow", G, "--point", "1,0,1,0", "--t", "1,inf"],
+    ["analyze", G, "--transversality-eps", "1", "--seeds", "0"],
+    ["transversality", FAILING_MAP, "--eps", "1", "--margin", "nan"],
+    ["transversality", FAILING_MAP, "--eps", "1", "--margin", "-1"],
+    ["transversality", FAILING_MAP, "--eps", "1", "--tol-v", "nan"],
+    ["transversality", FAILING_MAP, "--eps", "1", "--tol-tangency", "inf"],
+    ["transversality", FAILING_MAP, "--eps", "1", "--iters", "-5"],
 ])
 def test_non_finite_numbers_are_bad_input(capsys, argv):
     # list options parsed by argparse exit through SystemExit
@@ -195,7 +219,7 @@ def test_flow_trace(capsys):
                                 "--t", "0.5,1,2", "--eps", "1,2",
                                 "--no-timing"])
     assert code == 0
-    doc = json.loads(out)
+    doc = strict_json(out)
     assert doc["flow_params"] == {"degree": 6, "weights": [3, 2]}
     assert [s["t"] for s in doc["samples"]] == [0.5, 1.0, 2.0]
     for s in doc["samples"]:
@@ -210,7 +234,7 @@ def test_flow_trace(capsys):
 def test_flow_default_time_grid(capsys):
     code, out, _ = run(capsys, ["flow", G, "--point", "1,0,0,0", "--no-timing"])
     assert code == 0
-    doc = json.loads(out)
+    doc = strict_json(out)
     assert len(doc["samples"]) == 7
 
 
@@ -218,7 +242,7 @@ def test_flow_phase_null_on_zero_set(capsys):
     code, out, _ = run(capsys, ["flow", "z1 z1~ - z2 z2~", "--point", "1,0,1,0",
                                 "--t", "1,2", "--no-timing"])
     assert code == 0
-    doc = json.loads(out)
+    doc = strict_json(out)
     assert all(s["phase"] is None for s in doc["samples"])
 
 
@@ -265,7 +289,7 @@ def test_file_input(tmp_path, capsys):
     src.write_text(WORKED + "\n")
     code, out, _ = run(capsys, ["analyze", "--file", str(src), "--no-timing"])
     assert code == 0
-    assert json.loads(out)["structure"]["verdict"]["kind"] == "FibrationMainTheorem"
+    assert strict_json(out)["structure"]["verdict"]["kind"] == "FibrationMainTheorem"
 
 
 def test_missing_input(capsys):

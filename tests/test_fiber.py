@@ -9,13 +9,14 @@ from scipy.spatial import cKDTree
 from scipy.spatial.distance import cdist
 
 from milnorscope import (
-    FlowParams,
+    RadialWeights,
     fiber_compare,
     inflate_to_sphere,
     newton_to_fiber,
     parse_mixed,
     parse_real_map,
     phase,
+    radial_weights,
     rplus_flow,
     sample_fiber,
 )
@@ -31,15 +32,15 @@ WORKED = parse_mixed("(1+i) z1 z1~ + (-2-i) z2^2 z2~^2 + i z3^2 z3~")
 
 
 def test_flow_params_from_weights():
-    params = FlowParams.of(G_MIXED)
+    params = radial_weights(G_MIXED)
     assert (params.degree, params.weights) == (6, (3, 2))
-    assert FlowParams.of(WORKED) == FlowParams(12, (6, 3, 4))
+    assert radial_weights(WORKED) == RadialWeights(12, (6, 3, 4))
     with pytest.raises(ValueError, match="no term in z1"):
-        FlowParams.of(parse_mixed("z2 z2~"))
+        radial_weights(parse_mixed("z2 z2~"))
 
 
 def test_flow_identity_and_group_action():
-    params = FlowParams.of(G_MIXED)
+    params = radial_weights(G_MIXED)
     z = np.array([0.3 + 0.4j, -0.2 + 0.9j])
     assert np.allclose(rplus_flow(params, 1.0, z), z, atol=0)
     a = rplus_flow(params, 0.7, rplus_flow(params, 2.0, z))
@@ -50,7 +51,7 @@ def test_flow_identity_and_group_action():
 def test_flow_equivariance():
     rng = np.random.default_rng(11)
     for psi in (G_MIXED, WORKED, parse_mixed("z1 z1~")):
-        params = FlowParams.of(psi)
+        params = radial_weights(psi)
         for _ in range(20):
             z = rng.uniform(-1, 1, psi.n) + 1j * rng.uniform(-1, 1, psi.n)
             t = float(rng.uniform(0.2, 1.5))
@@ -60,7 +61,7 @@ def test_flow_equivariance():
 
 
 def test_flow_rejects_bad_input():
-    params = FlowParams.of(G_MIXED)
+    params = radial_weights(G_MIXED)
     with pytest.raises(ValueError, match="positive"):
         rplus_flow(params, 0.0, [1j, 0j])
     with pytest.raises(ValueError, match="dimension"):
@@ -68,7 +69,7 @@ def test_flow_rejects_bad_input():
 
 
 def test_inflate_homogeneous_closed_form():
-    params = FlowParams.of(parse_mixed("z1 z1~ + z2 z2~"))
+    params = radial_weights(parse_mixed("z1 z1~ + z2 z2~"))
     z = np.array([0.3 + 0.4j, 1.0 - 2.0j])
     t, zs = inflate_to_sphere(params, z, 2.0)
     assert t == pytest.approx(2.0 / np.linalg.norm(z), abs=1e-12)
@@ -78,7 +79,7 @@ def test_inflate_homogeneous_closed_form():
 def test_inflate_weighted_root():
     # |t.z|^2 = t^6 + t^4 at z = (1, 1); the root comes from an
     # independent cubic solve in u = t^2
-    params = FlowParams.of(G_MIXED)
+    params = radial_weights(G_MIXED)
     roots = np.roots([1.0, 1.0, 0.0, -1.0])
     u = float(next(r.real for r in roots if abs(r.imag) < 1e-12 and r.real > 0))
     t, zs = inflate_to_sphere(params, [1.0 + 0j, 1.0 + 0j], 1.0)
@@ -87,7 +88,7 @@ def test_inflate_weighted_root():
 
 
 def test_inflate_is_idempotent_on_the_sphere():
-    params = FlowParams.of(G_MIXED)
+    params = radial_weights(G_MIXED)
     _, zs = inflate_to_sphere(params, [0.2 + 0.1j, -0.4 + 0.8j], 1.5)
     t2, zs2 = inflate_to_sphere(params, zs, 1.5)
     assert t2 == pytest.approx(1.0, abs=1e-10)
@@ -95,7 +96,7 @@ def test_inflate_is_idempotent_on_the_sphere():
 
 
 def test_inflate_rejects_bad_input():
-    params = FlowParams.of(G_MIXED)
+    params = radial_weights(G_MIXED)
     with pytest.raises(ValueError, match="origin"):
         inflate_to_sphere(params, [0j, 0j], 1.0)
     with pytest.raises(ValueError, match="positive"):
@@ -121,7 +122,7 @@ def test_phase_values():
 
 
 def test_phase_is_orbit_invariant():
-    params = FlowParams.of(WORKED)
+    params = radial_weights(WORKED)
     rng = np.random.default_rng(13)
     for _ in range(20):
         z = rng.uniform(-1, 1, 3) + 1j * rng.uniform(-1, 1, 3)

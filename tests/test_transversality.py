@@ -189,6 +189,12 @@ def test_falsifier_rejects_bad_radius():
     for bad in (math.nan, math.inf, -1.0):
         with pytest.raises(ValueError, match="positive and finite"):
             falsify_transversality(FAILING_MAP, bad)
+    for bad in ({"tol_tangency": math.inf}, {"tol_tangency": 0.0},
+                {"tol_v": math.nan}, {"tol_v": -1e-6},
+                {"margin": math.nan}, {"margin": -1.0}, {"margin": math.inf},
+                {"seeds": 0}, {"iters": -5}):
+        with pytest.raises(ValueError, match="positive and finite"):
+            falsify_transversality(FAILING_MAP, 1.0, **bad)
 
 
 def test_falsifier_is_deterministic():
