@@ -86,9 +86,12 @@ def _floats(text: str) -> list[float]:
 def _float_list_arg(text: str) -> list[float]:
     # argparse prints only an ArgumentTypeError's own message
     try:
-        return _floats(text)
+        vals = _floats(text)
     except ParseError as exc:
         raise argparse.ArgumentTypeError(str(exc)) from None
+    if not vals:
+        raise argparse.ArgumentTypeError(f"empty list {text!r}")
+    return vals
 
 
 def _emit(args, payload: str) -> None:
@@ -212,15 +215,18 @@ def cmd_flow(args) -> int:
     for t in ts:
         zt = rplus_flow(params, t, z)
         val = obj.eval(zt)
-        predicted = (t ** params.degree) * base_val
+        # a float64 power overflows to inf (written as null), not OverflowError
+        predicted = (np.float64(t) ** params.degree) * base_val
         entry = {
             "t": float(t),
             "point": serialize.floatlist(complex_to_reals(zt)),
             "value": [val.real, val.imag],
             "equivariance_residual": abs(val - predicted),
         }
-        entry["phase"] = ([val.real / abs(val), val.imag / abs(val)]
-                          if abs(val) > 1e-12 else None)
+        # the same hypot as Python's complex abs, which can raise
+        # OverflowError on overflowed parts
+        mag = np.hypot(val.real, val.imag)
+        entry["phase"] = [val.real / mag, val.imag / mag] if mag > 1e-12 else None
         samples.append(entry)
     doc = _tool_header("flow", text)
     doc["flow_params"] = serialize.flow_params_json(params)

@@ -40,7 +40,7 @@ def rplus_flow(params: RadialWeights, t: float, z) -> np.ndarray:
     z = np.asarray(z, dtype=complex)
     if z.shape != (len(params.weights),):
         raise ValueError("point has wrong dimension")
-    factors = np.array([t ** p for p in params.weights])
+    factors = np.array([np.float64(t) ** p for p in params.weights])
     return z * factors
 
 

@@ -92,9 +92,6 @@ class MixedTerm:
     def degree(self) -> int:
         return self.a + self.b
 
-    def is_critical(self) -> bool:
-        return self.a == self.b
-
 
 class DiagonalMixedPolynomial:
     """psi(z) = sum of MixedTerms, at most one per variable index."""
@@ -204,11 +201,10 @@ class DiagonalMixedPolynomial:
                 key[jx] = ex
                 key[jx + 1] = ey
                 key = tuple(key)
-                for comp, part in ((re_comp, c.re), (im_comp, c.im)):
-                    if part != 0:
-                        comp[key] = comp.get(key, Fraction(0)) + part
-                        if comp[key] == 0:
-                            del comp[key]
+                # terms in different variables share no monomial, and the
+                # map drops zero coefficients
+                re_comp[key] = c.re
+                im_comp[key] = c.im
         names = []
         for j in range(1, self.n + 1):
             names += [f"x{j}", f"y{j}"]

@@ -41,6 +41,7 @@ class ParseError(ValueError):
 
 
 _TOKEN_RE = re.compile(r"\s*(?:(\d+\.\d+|\d+)|([A-Za-z_][A-Za-z_0-9]*)|([-+*/^(),~=]))")
+_VAR_RE = re.compile(r"z(\d+)")
 
 
 def _tokenize(text: str):
@@ -94,6 +95,30 @@ class _Cursor:
         return tok
 
 
+def _expect_end(cur: _Cursor) -> None:
+    tail = cur.peek()
+    if tail[0] != "END":
+        raise ParseError(f"unexpected trailing input {tail[1]!r}", tail[2])
+
+
+def _parse_int(cur: _Cursor, what: str) -> int:
+    tok = cur.expect("NUM", what=what)
+    if "." in tok[1]:
+        raise ParseError(f"{what} must be an integer", tok[2])
+    return int(tok[1])
+
+
+def _signed_items(cur: _Cursor, item) -> list:
+    """item(cur, sign) for each item of `['+'|'-'] item (('+'|'-') item)*`."""
+    op = cur.accept("OP", "-") or cur.accept("OP", "+")
+    items = []
+    while True:
+        items.append(item(cur, -1 if op and op[1] == "-" else 1))
+        op = cur.accept("OP", "+") or cur.accept("OP", "-")
+        if op is None:
+            return items
+
+
 def _parse_number(cur: _Cursor) -> Fraction:
     tok = cur.expect("NUM", what="number")
     val = Fraction(tok[1])
@@ -122,73 +147,47 @@ def _parse_cpart(cur: _Cursor, sign: int) -> ComplexRational:
 
 def _parse_paren_complex(cur: _Cursor) -> ComplexRational:
     cur.expect("OP", "(")
-    sign = 1
-    if cur.accept("OP", "-"):
-        sign = -1
-    else:
-        cur.accept("OP", "+")
-    val = _parse_cpart(cur, sign)
-    while True:
-        if cur.accept("OP", "+"):
-            val = val + _parse_cpart(cur, 1)
-        elif cur.accept("OP", "-"):
-            val = val + _parse_cpart(cur, -1)
-        else:
-            break
+    parts = _signed_items(cur, _parse_cpart)
     cur.expect("OP", ")")
-    return val
+    return sum(parts[1:], parts[0])
 
 
 def _starts_factor(cur: _Cursor) -> bool:
     kind, text, _ = cur.peek()
     if kind != "ID":
         return False
-    return text == "conj" or re.fullmatch(r"z\d+", text) is not None
+    return text == "conj" or _VAR_RE.fullmatch(text) is not None
 
 
 def _parse_factor(cur: _Cursor) -> tuple[int, int, int]:
     # returns (variable index, plain exponent, conjugate exponent)
     tok = cur.next()
-    conj = False
-    if tok[1] == "conj":
+    conj = tok[1] == "conj"
+    var = tok
+    if conj:
         cur.expect("OP", "(", what="'(' after conj")
-        inner = cur.expect("ID", what="variable like z1")
-        m = re.fullmatch(r"z(\d+)", inner[1])
-        if m is None:
-            raise ParseError(f"expected variable like z1, got {inner[1]!r}", inner[2])
-        j = int(m.group(1))
+        var = cur.expect("ID", what="variable like z1")
+    m = _VAR_RE.fullmatch(var[1])
+    if m is None:
+        raise ParseError(f"expected variable like z1, got {var[1]!r}", var[2])
+    j = int(m.group(1))
+    if conj:
         cur.expect("OP", ")")
+    elif cur.accept("OP", "~"):
         conj = True
-    else:
-        m = re.fullmatch(r"z(\d+)", tok[1])
-        if m is None:
-            raise ParseError(f"expected variable like z1, got {tok[1]!r}", tok[2])
-        j = int(m.group(1))
-        if cur.accept("OP", "~"):
-            conj = True
     if j < 1:
         raise ParseError("variable index must be >= 1", tok[2])
-    expo = 1
-    if cur.accept("OP", "^"):
-        etok = cur.expect("NUM", what="exponent")
-        if "." in etok[1]:
-            raise ParseError("exponent must be an integer", etok[2])
-        expo = int(etok[1])
+    expo = _parse_int(cur, "exponent") if cur.accept("OP", "^") else 1
     return (j, 0, expo) if conj else (j, expo, 0)
 
 
-def _parse_mixed_term(cur: _Cursor, sign: int) -> tuple[int, ComplexRational, int, int, int]:
-    start = cur.peek()[2]
+def _parse_mixed_term(cur: _Cursor, sign: int) -> tuple[MixedTerm, int]:
+    # the term and the position where it starts
+    kind, text, start = cur.peek()
     coeff = ComplexRational(1, 0)
-    kind, text, _ = cur.peek()
-    if kind == "NUM":
-        coeff = ComplexRational(_parse_number(cur), 0)
-        if cur.accept("ID", "i"):
-            coeff = ComplexRational(0, coeff.re)
-    elif kind == "ID" and text == "i":
-        cur.next()
-        coeff = ComplexRational(0, 1)
-    elif kind == "OP" and text == "(":
+    if kind == "NUM" or (kind, text) == ("ID", "i"):
+        coeff = _parse_cpart(cur, 1)
+    elif (kind, text) == ("OP", "("):
         coeff = _parse_paren_complex(cur)
     if sign < 0:
         coeff = -coeff
@@ -214,48 +213,40 @@ def _parse_mixed_term(cur: _Cursor, sign: int) -> tuple[int, ComplexRational, in
         cur.accept("OP", "*")
     if a + b == 0:
         raise ParseError(f"term in z{j0} has total degree zero", start)
-    return j0, coeff, a, b, start
+    return MixedTerm(j0, coeff, a, b), start
 
 
 def parse_mixed(text: str) -> DiagonalMixedPolynomial:
     """Parse a diagonal mixed polynomial such as '(1+i) z1 z1~ - 2 z2^2 z2~^2'."""
     cur = _Cursor(_tokenize(text))
-    sign = 1
-    if cur.accept("OP", "-"):
-        sign = -1
-    else:
-        cur.accept("OP", "+")
-    terms = []
-    positions = {}
-    j, c, a, b, pos = _parse_mixed_term(cur, sign)
-    terms.append(MixedTerm(j, c, a, b))
-    positions[j] = pos
-    while True:
-        if cur.accept("OP", "+"):
-            sign = 1
-        elif cur.accept("OP", "-"):
-            sign = -1
-        else:
-            break
-        j, c, a, b, pos = _parse_mixed_term(cur, sign)
-        if j in positions:
-            raise ParseError(f"duplicate variable z{j}", pos)
-        terms.append(MixedTerm(j, c, a, b))
-        positions[j] = pos
-    n = max(positions)
+    seen = set()
+
+    def term(cur, sign):
+        t, pos = _parse_mixed_term(cur, sign)
+        if t.j in seen:
+            raise ParseError(f"duplicate variable z{t.j}", pos)
+        seen.add(t.j)
+        return t
+
+    terms = _signed_items(cur, term)
+    n = max(seen)
     if cur.accept("ID", "vars"):
         cur.expect("OP", "=")
-        ntok = cur.expect("NUM", what="variable count")
-        if "." in ntok[1]:
-            raise ParseError("variable count must be an integer", ntok[2])
-        n_declared = int(ntok[1])
+        pos = cur.peek()[2]
+        n_declared = _parse_int(cur, "variable count")
         if n_declared < n:
-            raise ParseError(f"vars={n_declared} but z{n} occurs", ntok[2])
+            raise ParseError(f"vars={n_declared} but z{n} occurs", pos)
         n = n_declared
-    tail = cur.peek()
-    if tail[0] != "END":
-        raise ParseError(f"unexpected trailing input {tail[1]!r}", tail[2])
+    _expect_end(cur)
     return DiagonalMixedPolynomial(n, terms)
+
+
+def _signed_join(pieces: list[tuple[bool, str]]) -> str:
+    # (negative, body) pairs as 'a + b - c', with a leading '-' if needed
+    out = ("-" if pieces[0][0] else "") + pieces[0][1]
+    for neg, body in pieces[1:]:
+        out += (" - " if neg else " + ") + body
+    return out
 
 
 def render_mixed(psi: DiagonalMixedPolynomial) -> str:
@@ -283,9 +274,7 @@ def render_mixed(psi: DiagonalMixedPolynomial) -> str:
             factors.append(f"z{t.j}~" + (f"^{t.b}" if t.b > 1 else ""))
         body = (coeff_str + " " if coeff_str else "") + " ".join(factors)
         pieces.append((neg, body))
-    out = ("-" if pieces[0][0] else "") + pieces[0][1]
-    for neg, body in pieces[1:]:
-        out += (" - " if neg else " + ") + body
+    out = _signed_join(pieces)
     max_j = max(t.j for t in psi.terms)
     if psi.n != max_j:
         out += f" vars={psi.n}"
@@ -357,10 +346,7 @@ class _RealExprParser:
     def factor(self) -> _Poly:
         base = self.base()
         if self.cur.accept("OP", "^"):
-            etok = self.cur.expect("NUM", what="exponent")
-            if "." in etok[1]:
-                raise ParseError("exponent must be an integer", etok[2])
-            return _p_pow(base, int(etok[1]), self.n)
+            return _p_pow(base, _parse_int(self.cur, "exponent"), self.n)
         return base
 
     def base(self) -> _Poly:
@@ -400,22 +386,20 @@ def parse_real_map(text: str) -> RealPolynomialMap:
     if split is None:
         raise ParseError("missing 'vars' clause", tokens[-1][2])
     names = []
-    k = split + 1
+    cur = _Cursor(tokens)
+    cur.k = split + 1
     while True:
-        if tokens[k][0] != "ID":
-            raise ParseError("expected variable name", tokens[k][2])
-        if tokens[k][1] == "vars":
-            raise ParseError("'vars' is reserved", tokens[k][2])
-        if tokens[k][1] in names:
-            raise ParseError(f"duplicate variable name {tokens[k][1]!r}", tokens[k][2])
-        names.append(tokens[k][1])
-        k += 1
-        if tokens[k][0] == "OP" and tokens[k][1] == ",":
-            k += 1
-            continue
-        break
-    if tokens[k][0] != "END":
-        raise ParseError(f"unexpected trailing input {tokens[k][1]!r}", tokens[k][2])
+        kind, name, pos = cur.next()
+        if kind != "ID":
+            raise ParseError("expected variable name", pos)
+        if name == "vars":
+            raise ParseError("'vars' is reserved", pos)
+        if name in names:
+            raise ParseError(f"duplicate variable name {name!r}", pos)
+        names.append(name)
+        if not cur.accept("OP", ","):
+            break
+    _expect_end(cur)
 
     n = len(names)
     var_index = {name: i for i, name in enumerate(names)}
@@ -426,9 +410,7 @@ def parse_real_map(text: str) -> RealPolynomialMap:
     while cur.accept("OP", ","):
         comps.append(parser.expr())
     cur.expect("OP", ")")
-    tail = cur.peek()
-    if tail[0] != "END":
-        raise ParseError(f"unexpected trailing input {tail[1]!r}", tail[2])
+    _expect_end(cur)
     return RealPolynomialMap(n, comps, names)
 
 
@@ -454,14 +436,5 @@ def render_real_map(f: RealPolynomialMap) -> str:
             comp_strs.append("0")
             continue
         items = sorted(comp.items(), key=lambda kv: (-sum(kv[0]), kv[0]))
-        first = True
-        s = ""
-        for expo, coeff in items:
-            neg, body = mono(expo, coeff)
-            if first:
-                s = ("-" if neg else "") + body
-                first = False
-            else:
-                s += (" - " if neg else " + ") + body
-        comp_strs.append(s)
+        comp_strs.append(_signed_join([mono(expo, coeff) for expo, coeff in items]))
     return "(" + ", ".join(comp_strs) + ") vars " + ",".join(f.var_names)

@@ -36,6 +36,17 @@ def _clean(component: Monomials, n: int) -> dict[tuple[int, ...], Fraction]:
     return out
 
 
+def _eval_exact(poly: Monomials, xs: Sequence[Fraction]) -> Fraction:
+    acc = Fraction(0)
+    for expo, coeff in poly.items():
+        term = coeff
+        for xv, e in zip(xs, expo):
+            if e:
+                term *= xv ** e
+        acc += term
+    return acc
+
+
 def _flatten(polys: Sequence[Monomials], n: int):
     # one row of exponents per monomial, with the index of the polynomial
     # it belongs to, and the number of polynomials
@@ -87,56 +98,31 @@ class RealPolynomialMap:
     # ------------------------------------------------------------------
     # exact layer
 
-    def eval_exact(self, x: Sequence[Fraction]) -> tuple[Fraction, ...]:
-        """Evaluate at a rational point, exactly."""
+    def _exact_point(self, x: Sequence[Fraction]) -> list[Fraction]:
         if len(x) != self.n:
             raise ValueError("point has wrong dimension")
-        xs = [Fraction(v) for v in x]
-        out = []
-        for comp in self.components:
-            acc = Fraction(0)
-            for expo, coeff in comp.items():
-                term = coeff
-                for xv, e in zip(xs, expo):
-                    if e:
-                        term *= xv ** e
-                acc += term
-            out.append(acc)
-        return tuple(out)
+        return [Fraction(v) for v in x]
+
+    def eval_exact(self, x: Sequence[Fraction]) -> tuple[Fraction, ...]:
+        """Evaluate at a rational point, exactly."""
+        xs = self._exact_point(x)
+        return tuple(_eval_exact(comp, xs) for comp in self.components)
 
     def partial(self, i: int, j: int) -> dict[tuple[int, ...], Fraction]:
         """Sparse dict of d f_i / d x_j (0-based indices)."""
         key = (i, j)
         if key not in self._partials:
-            out: dict[tuple[int, ...], Fraction] = {}
-            for expo, coeff in self.components[i].items():
-                e = expo[j]
-                if e == 0:
-                    continue
-                dexpo = expo[:j] + (e - 1,) + expo[j + 1:]
-                out[dexpo] = out.get(dexpo, Fraction(0)) + coeff * e
-                if out[dexpo] == 0:
-                    del out[dexpo]
-            self._partials[key] = out
+            # distinct monomials have distinct, nonzero derivatives
+            self._partials[key] = {
+                expo[:j] + (expo[j] - 1,) + expo[j + 1:]: coeff * expo[j]
+                for expo, coeff in self.components[i].items() if expo[j]}
         return self._partials[key]
 
     def jacobian_exact(self, x: Sequence[Fraction]) -> list[list[Fraction]]:
         """Exact p-by-n Jacobian matrix at a rational point."""
-        xs = [Fraction(v) for v in x]
-        rows = []
-        for i in range(self.p):
-            row = []
-            for j in range(self.n):
-                acc = Fraction(0)
-                for expo, coeff in self.partial(i, j).items():
-                    term = coeff
-                    for xv, e in zip(xs, expo):
-                        if e:
-                            term *= xv ** e
-                    acc += term
-                row.append(acc)
-            rows.append(row)
-        return rows
+        xs = self._exact_point(x)
+        return [[_eval_exact(self.partial(i, j), xs) for j in range(self.n)]
+                for i in range(self.p)]
 
     def restricted_to_zero(self, zero_vars: Iterable[int]) -> "RealPolynomialMap":
         """The map obtained by setting the given variables (0-based) to zero."""
@@ -146,13 +132,6 @@ class RealPolynomialMap:
             kept = {e: c for e, c in comp.items() if all(e[j] == 0 for j in zv)}
             comps.append(kept)
         return RealPolynomialMap(self.n, comps, self.var_names)
-
-    def total_degree(self) -> int:
-        deg = 0
-        for comp in self.components:
-            for expo in comp:
-                deg = max(deg, sum(expo))
-        return deg
 
     # ------------------------------------------------------------------
     # compiled float layer
@@ -188,9 +167,6 @@ class RealPolynomialMap:
     def grad_many(self, X: np.ndarray) -> np.ndarray:
         """Jacobians at a batch of points.  X is (N, n); returns (N, p, n)."""
         return self._evaluate(X, self._compiled_grad, (self.p, self.n))
-
-    def __call__(self, x) -> np.ndarray:
-        return self.eval_many(np.asarray(x, dtype=float))
 
     # ------------------------------------------------------------------
 

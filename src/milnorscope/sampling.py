@@ -24,6 +24,18 @@ def _sobol(d: int, count: int, seed: int) -> np.ndarray:
     return sob.random_base2(m)[:count]
 
 
+def _normal_quantiles(U: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    # normal quantiles of uniform draws and their row norms; a row of
+    # norm ~0 is replaced by the first unit vector
+    G = ndtri(np.clip(U, _TINY, 1 - _TINY))
+    norms = np.linalg.norm(G, axis=1)
+    bad = norms < _TINY
+    if np.any(bad):
+        G[bad] = np.eye(G.shape[1])[0]
+        norms[bad] = 1.0
+    return G, norms
+
+
 def sphere_points(dim: int, count: int, radius: float, seed: int) -> np.ndarray:
     """`count` quasi-random points on the sphere of the given radius in R^dim.
 
@@ -32,13 +44,7 @@ def sphere_points(dim: int, count: int, radius: float, seed: int) -> np.ndarray:
     """
     if dim < 1 or count < 1:
         raise ValueError("dim and count must be positive")
-    U = _sobol(dim, count, seed)
-    G = ndtri(np.clip(U, _TINY, 1 - _TINY))
-    norms = np.linalg.norm(G, axis=1)
-    bad = norms < _TINY
-    if np.any(bad):
-        G[bad] = np.eye(dim)[0]
-        norms[bad] = 1.0
+    G, norms = _normal_quantiles(_sobol(dim, count, seed))
     return radius * G / norms[:, None]
 
 
@@ -47,11 +53,6 @@ def ball_points(dim: int, count: int, radius: float, seed: int) -> np.ndarray:
     if dim < 1 or count < 1:
         raise ValueError("dim and count must be positive")
     U = _sobol(dim + 1, count, seed)
-    G = ndtri(np.clip(U[:, :dim], _TINY, 1 - _TINY))
-    norms = np.linalg.norm(G, axis=1)
-    bad = norms < _TINY
-    if np.any(bad):
-        G[bad] = np.eye(dim)[0]
-        norms[bad] = 1.0
+    G, norms = _normal_quantiles(U[:, :dim])
     r = radius * U[:, dim] ** (1.0 / dim)
     return G / norms[:, None] * r[:, None]

@@ -43,8 +43,9 @@ def _ratio(lam: ComplexRational, direction: ComplexRational) -> Fraction:
 
 @dataclass(frozen=True)
 class ColinearityClass:
-    """A maximal set of critical indices with R-colinear coefficients.
+    """A set of indices whose coefficients are R-colinear.
 
+    In a partition the set is a maximal set of critical indices.
     `direction` is the primitive integer representative of the
     coefficient of the smallest index, so that member's ratio is
     positive.  `ratios[j]` is the exact rational t_j with
@@ -65,6 +66,15 @@ class ColinearityClass:
         d = self.direction
         scale = math.hypot(float(d.re), float(d.im))
         return float(self.ratios[j]) * scale
+
+
+def _colinear_class(psi: DiagonalMixedPolynomial,
+                    indices: tuple[int, ...]) -> ColinearityClass:
+    # the caller guarantees the coefficients on `indices` are colinear
+    direction = _primitive(psi.term_for(indices[0]).coeff)
+    ratios = {j: _ratio(psi.term_for(j).coeff, direction) for j in indices}
+    theta = math.atan2(float(direction.im), float(direction.re))
+    return ColinearityClass(indices, direction, ratios, theta)
 
 
 @dataclass(frozen=True)
@@ -95,10 +105,7 @@ def colinearity_classes(psi: DiagonalMixedPolynomial) -> CriticalIndexPartition:
             if lam_j.cross(psi.term_for(k).coeff) == 0:
                 members.append(k)
                 used.add(k)
-        direction = _primitive(lam_j)
-        ratios = {m: _ratio(psi.term_for(m).coeff, direction) for m in members}
-        theta = math.atan2(float(direction.im), float(direction.re))
-        classes.append(ColinearityClass(tuple(members), direction, ratios, theta))
+        classes.append(_colinear_class(psi, tuple(members)))
     return CriticalIndexPartition(frozenset(crit), tuple(classes))
 
 
@@ -248,8 +255,7 @@ def radial_weights(psi: DiagonalMixedPolynomial) -> RadialWeights:
     if missing:
         raise ValueError("radial weights undefined: no term in "
                          + ", ".join(f"z{j}" for j in missing))
-    degs = [t.degree for t in psi.terms]
-    a = lcm(*degs) if len(degs) > 1 else degs[0]
+    a = lcm(*(t.degree for t in psi.terms))
     weights = tuple(a // psi.term_for(j).degree for j in range(1, psi.n + 1))
     return RadialWeights(a, weights)
 
@@ -283,14 +289,13 @@ def sigma_cap_V_trivial(psi: DiagonalMixedPolynomial) -> tuple[bool, dict]:
     cls_info = []
     witness = None
     for cls in part.classes:
-        signs = {j: (1 if cls.ratios[j] > 0 else -1) for j in cls.indices}
-        same = len(set(signs.values())) <= 1
+        same = cls.all_same_argument
         cls_info.append({"indices": list(cls.indices),
-                         "signs": [signs[j] for j in cls.indices],
+                         "signs": [1 if cls.ratios[j] > 0 else -1 for j in cls.indices],
                          "same_sign": same})
         if not same and witness is None:
-            jp = next(j for j in cls.indices if signs[j] > 0)
-            jn = next(j for j in cls.indices if signs[j] < 0)
+            jp = cls.indices[0]  # its ratio is positive by construction
+            jn = next(j for j in cls.indices if cls.ratios[j] < 0)
             # balance mu_jp * s + mu_jn * u = 0 with s = 1
             u = -cls.ratios[jp] / cls.ratios[jn]
             z = [0j] * psi.n
@@ -311,26 +316,21 @@ class SpecialFamilyForm:
     up to a common complex unit and renumbering of the variables.
 
     `odd_index` is the single non-critical index, with exponents (2, 1)
-    or (1, 2); every other index is critical and all coefficients lie
-    on one real line through the origin.
+    or (1, 2); every other index is critical.  All coefficients lie on
+    one real line through the origin, held in `line` as a
+    ColinearityClass over every index.
     """
 
     odd_index: int
     odd_exponents: tuple[int, int]
     critical: tuple[int, ...]
-    direction: ComplexRational
-    ratios: dict[int, Fraction]
-    theta: float
-
-    def mu(self, j: int) -> float:
-        d = self.direction
-        return float(self.ratios[j]) * math.hypot(float(d.re), float(d.im))
+    line: ColinearityClass
 
     def positive_block(self) -> tuple[int, ...]:
-        return tuple(j for j in self.critical if self.ratios[j] > 0)
+        return tuple(j for j in self.critical if self.line.ratios[j] > 0)
 
     def negative_block(self) -> tuple[int, ...]:
-        return tuple(j for j in self.critical if self.ratios[j] < 0)
+        return tuple(j for j in self.critical if self.line.ratios[j] < 0)
 
 
 def special_family_form(psi: DiagonalMixedPolynomial) -> SpecialFamilyForm | None:
@@ -353,11 +353,8 @@ def special_family_form(psi: DiagonalMixedPolynomial) -> SpecialFamilyForm | Non
     ref = psi.terms[0].coeff
     if any(ref.cross(t.coeff) != 0 for t in psi.terms[1:]):
         return None
-    direction = _primitive(ref)
-    ratios = {t.j: _ratio(t.coeff, direction) for t in psi.terms}
-    theta = math.atan2(float(direction.im), float(direction.re))
-    return SpecialFamilyForm(odd[0].j, (odd[0].a, odd[0].b),
-                             tuple(t.j for t in crit), direction, ratios, theta)
+    return SpecialFamilyForm(odd[0].j, (odd[0].a, odd[0].b), tuple(t.j for t in crit),
+                             _colinear_class(psi, tuple(t.j for t in psi.terms)))
 
 
 # ----------------------------------------------------------------------
@@ -407,13 +404,13 @@ def fibration_verdict(psi: DiagonalMixedPolynomial) -> FibrationVerdict:
         "special_family": special is not None,
     }
 
-    if psi.terms and all((t.a, t.b) in ((0, 1), (1, 0))
-                         and t.coeff.re != 0 and t.coeff.im != 0
-                         for t in psi.terms):
+    linear = _linear_indices(psi)
+    if linear:
         return FibrationVerdict(
             VerdictKind.SUBMERSION,
-            ("every term is z_j or conj(z_j) with a coefficient off both axes, "
-             "so the differential is everywhere surjective",),
+            (f"the term in z{linear[0]} is a nonzero multiple of z{linear[0]} or "
+             f"conj(z{linear[0]}), whose real differential is invertible, so the "
+             "differential is everywhere surjective",),
             pre)
 
     if not crit and not missing:

@@ -473,7 +473,8 @@ def falsify_transversality(f: RealPolynomialMap, eps: float, *,
     statement that every regular-fiber tangency found keeps |f| above
     the margin (default: 1e-2 times the median of |f| on the sphere).
     eps, seeds, the tolerances and a given margin must be positive and
-    finite, and iters at least zero.
+    finite, and iters at least zero.  Raises ValueError when |f|
+    overflows at some of the sphere samples.
     """
     given = {"eps": eps, "seeds": seeds, "tol_tangency": tol_tangency,
              "tol_v": tol_v, "margin": margin}
@@ -485,6 +486,10 @@ def falsify_transversality(f: RealPolynomialMap, eps: float, *,
     rng = np.random.default_rng(rng_seed + 7919)
     sample = sampling.sphere_points(f.n, 2048, eps, rng_seed + 101)
     fvals = _fnorm(f, sample)
+    overflow = int(np.count_nonzero(~np.isfinite(fvals)))
+    if overflow:
+        raise ValueError(f"evaluator overflow: |f| is not finite at {overflow} of "
+                         f"{len(fvals)} sample points on the sphere of radius {eps!r}")
     scale = float(np.median(fvals))
     if margin is None:
         margin = MARGIN_FACTOR * scale
@@ -616,8 +621,8 @@ def special_family_minor(psi: DiagonalMixedPolynomial, j: int, x,
     yj = x[2 * (j - 1) + 1]
     u = xj if component == "x" else yj
     aj = psi.term_for(j).a
-    c = form.mu(o)
-    mj = form.mu(j)
+    c = form.line.mu(o)
+    mj = form.line.mu(j)
     S = xo * xo + yo * yo
     s = (xj * xj + yj * yj) ** (aj - 1)
     sign = 1.0 if form.odd_exponents == (2, 1) else -1.0
@@ -654,7 +659,7 @@ def special_family_claim_check(psi: DiagonalMixedPolynomial,
                                 "single sign block: nothing to separate")
     rng = np.random.default_rng(rng_seed)
     o = form.odd_index
-    c = form.mu(o)
+    c = form.line.mu(o)
     min_ratio = math.inf
     count = 0
     for k in range(samples):
@@ -666,8 +671,8 @@ def special_family_claim_check(psi: DiagonalMixedPolynomial,
         ao = psi.term_for(other).a
         rj = rng.uniform(0.4, 1.4)
         rother = rng.uniform(0.4, 1.4)
-        mj = form.mu(j)
-        mo = form.mu(other)
+        mj = form.line.mu(j)
+        mo = form.line.mu(other)
         K = mj * aj * rj ** (2 * (aj - 1))
         yo = rng.uniform(-0.9, 0.9) * abs(K / (3.0 * c))
         disc = K * K - 9.0 * c * c * yo * yo

@@ -210,6 +210,30 @@ def test_non_finite_numbers_are_bad_input(capsys, argv):
     assert "finite" in captured.err
 
 
+@pytest.mark.parametrize("argv", [
+    ["transversality", FAILING_MAP, "--eps", ""],
+    ["analyze", G, "--transversality-eps", ""],
+    ["flow", G, "--point", "1,0,1,0", "--eps", ","],
+])
+def test_empty_radius_list_is_bad_input(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--no-timing"])
+    captured = capsys.readouterr()
+    assert exc.value.code == 2
+    assert captured.out == ""
+    assert "empty list" in captured.err
+
+
+@pytest.mark.parametrize("text", ["(x^400*y + z^2, x) vars x,y,z",
+                                  "(x^2000*y + z^2, x) vars x,y,z"])
+def test_evaluator_overflow_is_bad_input(capsys, text):
+    code, out, err = run(capsys, ["transversality", text, "--eps", "3",
+                                  "--seeds", "16", "--iters", "20", "--no-timing"])
+    assert code == 2
+    assert out == ""
+    assert "overflow" in err
+
+
 # ----------------------------------------------------------------------
 # flow
 
@@ -244,6 +268,19 @@ def test_flow_phase_null_on_zero_set(capsys):
     assert code == 0
     doc = strict_json(out)
     assert all(s["phase"] is None for s in doc["samples"])
+
+
+@pytest.mark.parametrize("argv", [
+    ["flow", "z1^20 z1~^20", "--point", "10,0", "--t", "1e9"],
+    ["flow", "z1 z1~ + z2^20 z2~^20", "--point", "1,0,1,0", "--t", "1e20"],
+])
+def test_flow_overflow_is_null(capsys, argv):
+    # t^degree (first) and t^{p_j} (second) overflow float64
+    code, out, _ = run(capsys, argv + ["--no-timing"])
+    assert code == 0
+    sample = strict_json(out)["samples"][0]
+    assert sample["equivariance_residual"] is None
+    assert None in sample["value"]
 
 
 def test_flow_errors(capsys):

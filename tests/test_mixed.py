@@ -316,6 +316,13 @@ def test_jacobian_exact_matches_grad_map():
     assert np.allclose([[float(v) for v in row] for row in rows], J)
 
 
+def test_exact_layer_rejects_wrong_dimension():
+    f = parse_real_map("(x*y + z^2, x) vars x,y,z")
+    for evaluate in (f.eval_exact, f.jacobian_exact):
+        with pytest.raises(ValueError, match="wrong dimension"):
+            evaluate([Fraction(1)])
+
+
 def test_restricted_to_zero():
     f = parse_real_map("(x*y + z^2, x) vars x,y,z")
     g = f.restricted_to_zero([0, 2])

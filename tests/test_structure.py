@@ -6,6 +6,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from milnorscope import (
     ComplexRational,
@@ -351,6 +353,37 @@ def test_verdict_special_case_h():
 def test_verdict_submersion():
     v = fibration_verdict(parse_mixed("(1+i) z1 + (2-i) z2~"))
     assert v.kind is VerdictKind.SUBMERSION
+
+
+def test_verdict_submersion_from_any_linear_term():
+    # one term lambda z_j (or its conjugate) makes psi a submersion,
+    # whatever the other terms and wherever lambda lies
+    for text in ("z1 + z2 z2~", "z1", "-3 z1~ + z2^2 z2~", "i z2 + z1 z1~"):
+        v = fibration_verdict(parse_mixed(text))
+        assert v.kind is VerdictKind.SUBMERSION
+        assert critical_set(parse_mixed(text)).subspaces == ()
+
+
+@st.composite
+def mixed_polys(draw):
+    n = draw(st.integers(min_value=1, max_value=4))
+    indices = draw(st.sets(st.integers(min_value=1, max_value=n), min_size=1))
+    part = st.fractions(min_value=-3, max_value=3, max_denominator=4)
+    terms = []
+    for j in sorted(indices):
+        a = draw(st.integers(min_value=0, max_value=3))
+        b = draw(st.integers(min_value=0 if a else 1, max_value=3))
+        coeff = draw(st.builds(C, part, part).filter(lambda c: not c.is_zero()))
+        terms.append(MixedTerm(j, coeff, a, b))
+    return DiagonalMixedPolynomial(n, terms)
+
+
+@settings(max_examples=200, deadline=None)
+@given(mixed_polys())
+@example(parse_mixed("z1 + z2 z2~"))
+def test_submersion_exactly_when_critical_set_is_empty(psi):
+    empty = critical_set(psi).subspaces == ()
+    assert empty == (fibration_verdict(psi).kind is VerdictKind.SUBMERSION)
 
 
 def test_verdict_isolated_critical_point():

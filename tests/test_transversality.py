@@ -197,6 +197,14 @@ def test_falsifier_rejects_bad_radius():
             falsify_transversality(FAILING_MAP, 1.0, **bad)
 
 
+def test_falsifier_states_evaluator_overflow():
+    # |f| overflows float64 at about 19% (x^400) and 60% (x^2000) of the
+    # 2048 sphere samples at eps 3
+    for text in ("(x^400*y + z^2, x) vars x,y,z", "(x^2000*y + z^2, x) vars x,y,z"):
+        with pytest.raises(ValueError, match="overflow"):
+            falsify_transversality(parse_real_map(text), 3.0, seeds=16, iters=20)
+
+
 def test_falsifier_is_deterministic():
     a = falsify_transversality(FAILING_MAP, 1.0, seeds=48, iters=150, rng_seed=5)
     b = falsify_transversality(FAILING_MAP, 1.0, seeds=48, iters=150, rng_seed=5)
