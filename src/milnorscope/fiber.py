@@ -18,6 +18,7 @@ diagonal mixed polynomial and satisfies psi(t . z) = t^degree psi(z).
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 
@@ -93,9 +94,12 @@ def inflate_to_sphere(params: RadialWeights, z, eps: float) -> tuple[float, np.n
 
 
 def phase(psi: DiagonalMixedPolynomial, z) -> complex:
-    """psi(z)/|psi(z)|; undefined within 1e-12 of the zero set."""
-    w = psi.eval(z)
-    r = abs(w)
+    """psi(z)/|psi(z)|; undefined within 1e-12 of the zero set or on overflow."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        w = psi.eval(z)
+    if not cmath.isfinite(w):
+        raise ValueError(f"phase undefined: psi(z) = {w!r} is not finite (overflow)")
+    r = np.hypot(w.real, w.imag)
     if r <= 1e-12:
         raise ValueError("phase undefined: |psi(z)| <= 1e-12, the point lies "
                          "on the zero set V (or its tube W) up to tolerance")

@@ -168,16 +168,18 @@ def _project(X: np.ndarray, eps: float) -> np.ndarray:
 
 
 def _fd_grad(value_batch, X: np.ndarray, h) -> np.ndarray:
-    """Central differences of a batched scalar field, column by column."""
-    G = np.empty_like(X)
-    hcol = np.broadcast_to(np.asarray(h, dtype=float), (len(X),))
-    for d in range(X.shape[1]):
-        Xp = X.copy()
-        Xm = X.copy()
-        Xp[:, d] += hcol
-        Xm[:, d] -= hcol
-        G[:, d] = (value_batch(Xp) - value_batch(Xm)) / (2.0 * hcol)
-    return G
+    """Central differences of a batched scalar field, with step h per row.
+
+    One field call on the stack of 2n displaced copies of X: valid only
+    for a field that treats its rows independently."""
+    N, n = X.shape
+    hcol = np.broadcast_to(np.asarray(h, dtype=float), (N,))
+    S = np.broadcast_to(X[:, None, :], (2, N, n, n)).copy()
+    d = np.arange(n)
+    S[0][:, d, d] += hcol[:, None]
+    S[1][:, d, d] -= hcol[:, None]
+    V = value_batch(S.reshape(-1, n)).reshape(2, N, n)
+    return (V[0] - V[1]) / (2.0 * hcol[:, None])
 
 
 def _tangent_part(G: np.ndarray, X: np.ndarray, eps: float) -> np.ndarray:
@@ -209,18 +211,18 @@ class LocusSearchResult:
     converged: int
 
 
-def _make_witness(f: RealPolynomialMap, x: np.ndarray, eps: float,
-                  tol_tangency: float) -> TangencyWitness:
-    J = f.grad_many(x[None])
-    sigma = float(_sigma_min(np.concatenate([J, x[None, None, :]], axis=1))[0])
-    sigma_grad = float(_sigma_min(J)[0])
-    f_norm = float(_fnorm(f, x[None])[0])
-    smin = np.linalg.svd(J[0], compute_uv=False)[-1] if f.p <= f.n else 0.0
-    dist_v = f_norm / smin if smin > 1e-300 else math.inf
-    return TangencyWitness(point=x.copy(), eps=eps, sigma=sigma,
-                           sigma_grad=sigma_grad, f_norm=f_norm,
-                           dist_v_estimate=float(dist_v),
-                           near_critical=sigma_grad < tol_tangency)
+def _make_witnesses(f: RealPolynomialMap, X: np.ndarray, eps: float,
+                    tol_tangency: float) -> list[TangencyWitness]:
+    """Measure each row of X (points on S_eps, n > p) as a witness."""
+    J = f.grad_many(X)
+    sigma = _sigma_min(np.concatenate([J, X[:, None, :]], axis=1))
+    sigma_grad = _sigma_min(J)
+    f_norm = _fnorm(f, X)
+    smin = np.linalg.svd(J, compute_uv=False)[:, -1]
+    return [TangencyWitness(point=x.copy(), eps=eps, sigma=float(s), sigma_grad=float(sg),
+                            f_norm=float(fn), near_critical=bool(sg < tol_tangency),
+                            dist_v_estimate=float(fn / sm) if sm > 1e-300 else math.inf)
+            for x, s, sg, fn, sm in zip(X, sigma, sigma_grad, f_norm, smin)]
 
 
 def _descend_sigma(field, X: np.ndarray, eps: float, iters: int,
@@ -281,7 +283,9 @@ def _polish_batch(f: RealPolynomialMap, X: np.ndarray, eps: float,
     The dependence measure grows linearly off its zero set, so the step
     sigma * g / |g|^2 along the finite-difference gradient converges
     fast; the step length for differencing shrinks with sigma to stay
-    on one side of the kink.
+    on one side of the kink.  A row that stalls while others improve
+    repeats the same failed step, so running it beside other rows
+    leaves its result unchanged.
     """
     def sigma(X):
         return _sigma(f, X)
@@ -356,23 +360,23 @@ def search_tangency_locus(f: RealPolynomialMap, eps: float, *,
     keep = s < tol_tangency
     cand = cand[keep]
     converged = int(np.count_nonzero(keep))
-    witnesses = []
-    criticals = []
-    for x in cand:
-        w = _make_witness(f, x, eps, tol_tangency)
-        (criticals if w.near_critical else witnesses).append(w)
+    made = _make_witnesses(f, cand, eps, tol_tangency)
 
     def dedup(ws):
+        # greedy by |f|: keep a witness beyond dedup_radius of all kept ones
         ws = sorted(ws, key=lambda w: w.f_norm)
         kept = []
+        pts = np.empty((min(len(ws), 512), f.n))
         for w in ws:
-            if all(np.linalg.norm(w.point - k.point) > dedup_radius for k in kept):
+            if np.all(np.linalg.norm(pts[:len(kept)] - w.point, axis=1) > dedup_radius):
+                pts[len(kept)] = w.point
                 kept.append(w)
             if len(kept) >= 512:
                 break
         return tuple(kept)
 
-    return LocusSearchResult(dedup(witnesses), dedup(criticals),
+    return LocusSearchResult(dedup([w for w in made if not w.near_critical]),
+                             dedup([w for w in made if w.near_critical]),
                              attempted=len(X), converged=converged)
 
 
@@ -406,13 +410,14 @@ def _level_objective(f: RealPolynomialMap, target: float, scale: float):
     return value
 
 
-def _certify(f: RealPolynomialMap, x: np.ndarray, eps: float, target: float,
-             scale: float, tol_tangency: float, iters: int) -> TangencyWitness:
-    """Descend from x toward the tangency point at level |f| = target,
-    sharpen it with exact singular values, and measure it."""
-    X = _descend_sigma(_level_objective(f, target, scale), x[None], eps, iters, -1.0)
+def _certify(f: RealPolynomialMap, X: np.ndarray, eps: float, target: float,
+             scale: float, tol_tangency: float, iters: int) -> list[TangencyWitness]:
+    """Descend from each row of X toward a tangency point at level
+    |f| = target, sharpen it with exact singular values, and measure it:
+    one witness per row, each the same as from a batch of that row alone."""
+    X = _descend_sigma(_level_objective(f, target, scale), X, eps, iters, -1.0)
     X, _ = _polish_batch(f, X, eps)
-    return _make_witness(f, X[0], eps, tol_tangency)
+    return _make_witnesses(f, X, eps, tol_tangency)
 
 
 def _build_sequence(f: RealPolynomialMap, eps: float, start: TangencyWitness,
@@ -424,7 +429,7 @@ def _build_sequence(f: RealPolynomialMap, eps: float, start: TangencyWitness,
     # tangency point at a comfortable |f| level so the decrease is visible
     if start.f_norm < 200 * tol_v:
         lift = max(margin * 0.5, 400 * tol_v)
-        w = _certify(f, start.point, eps, lift, scale, tol_tangency, 250)
+        w = _certify(f, start.point[None], eps, lift, scale, tol_tangency, 250)[0]
         if w.sigma < tol_tangency and not w.near_critical and w.f_norm > 100 * tol_v:
             seq = [w]
     # every test reads the last certified witness; after a failed step
@@ -438,7 +443,7 @@ def _build_sequence(f: RealPolynomialMap, eps: float, start: TangencyWitness,
         # aim below the required 10x decrease so convergence error in the
         # target minimisation cannot land a hair above the threshold
         target = max(last.f_norm / 12.5, tol_v / 25.0)
-        w = _certify(f, start_pt, eps, target, scale, tol_tangency, 250)
+        w = _certify(f, start_pt[None], eps, target, scale, tol_tangency, 250)[0]
         good = (w.sigma < tol_tangency and not w.near_critical
                 and 0.0 < w.f_norm <= last.f_norm / 10.0)
         if good:
@@ -538,9 +543,10 @@ def falsify_transversality(f: RealPolynomialMap, eps: float, *,
             # |f| under the margin along the locus from the best witnesses
             # (targeting half the margin, not zero: the |f| -> 0 end of a
             # tangency branch can sit on the critical set)
-            for w in locus.witnesses[:3]:
-                cand = _certify(f, w.point, eps, 0.5 * margin, scale,
-                                tol_tangency, 300)
+            # the three pilots run as one batch; the choice replays in order
+            pilots = np.array([w.point for w in locus.witnesses[:3]])
+            for cand in _certify(f, pilots, eps, 0.5 * margin, scale,
+                                 tol_tangency, 300):
                 if (cand.sigma < tol_tangency and not cand.near_critical
                         and cand.f_norm < best.f_norm):
                     best = cand

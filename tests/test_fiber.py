@@ -138,6 +138,12 @@ def test_phase_undefined_on_zero_set():
         phase(G_MIXED, [0j, 0j])
 
 
+def test_phase_states_overflow():
+    # |z1|^40 at |z1| = 1e20 leaves float range
+    with pytest.raises(ValueError, match="overflow"):
+        phase(parse_mixed("z1^20 z1~^20 + z2 z2~"), [1e20, 1])
+
+
 # ----------------------------------------------------------------------
 # newton
 

@@ -19,7 +19,10 @@ from milnorscope import (
     tangency_matrix,
     tangency_minors_exact,
 )
+from milnorscope import sampling
 from milnorscope.realpoly import minors_exact
+from milnorscope.transversality import (_certify, _fd_grad, _fnorm,
+                                        _level_objective, _sigma)
 
 FAILING_MAP = parse_real_map("(x*y + z^2, x) vars x,y,z")
 G_MIXED = parse_mixed("z1 z1~ + z2^2 z2~")
@@ -151,6 +154,48 @@ def test_search_deduplicates():
     pts = [w.point for w in res.witnesses]
     for a, b in itertools.combinations(pts, 2):
         assert np.linalg.norm(a - b) > 1e-4
+
+
+# ----------------------------------------------------------------------
+# batching invariants: a batched step leaves every row's floats as they
+# are when the row runs alone
+
+
+def fd_grad_by_columns(field, X, h):
+    # reference: two field calls per column
+    G = np.empty_like(X)
+    hcol = np.broadcast_to(np.asarray(h, dtype=float), (len(X),))
+    for d in range(X.shape[1]):
+        Xp, Xm = X.copy(), X.copy()
+        Xp[:, d] += hcol
+        Xm[:, d] -= hcol
+        G[:, d] = (field(Xp) - field(Xm)) / (2.0 * hcol)
+    return G
+
+
+def test_fd_grad_matches_column_by_column_reference():
+    X = sampling.sphere_points(3, 3, 1.0, 4)
+    fields = (lambda Y: _sigma(FAILING_MAP, Y), _level_objective(FAILING_MAP, 0.05, 0.7))
+    for field in fields:
+        for h in (1e-6, np.array([1e-6, 3e-8, 1e-9])):
+            assert np.array_equal(_fd_grad(field, X, h), fd_grad_by_columns(field, X, h))
+
+
+def test_certify_batch_equals_single_rows():
+    h_map = H_MIXED.to_real_map()
+    locus = search_tangency_locus(h_map, 1.0, seeds=96, iters=250, rng_seed=0)
+    X = np.array([w.point for w in locus.witnesses[:3]])
+    assert len(X) == 3
+    scale = float(np.median(_fnorm(h_map, sampling.sphere_points(6, 2048, 1.0, 101))))
+    args = (1.0, 0.5e-2 * scale, scale, 1e-8, 300)
+    batch = _certify(h_map, X, *args)
+    singles = [_certify(h_map, x[None], *args)[0] for x in X]
+    assert len(batch) == 3
+    for b, s in zip(batch, singles):
+        assert np.array_equal(b.point, s.point)
+        for name in ("eps", "sigma", "sigma_grad", "f_norm", "dist_v_estimate",
+                     "near_critical"):
+            assert getattr(b, name) == getattr(s, name), name
 
 
 # ----------------------------------------------------------------------

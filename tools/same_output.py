@@ -1,0 +1,120 @@
+"""Check that two source trees print the same output on a benchmark job list.
+
+    python3 tools/same_output.py PARENT_SRC CHANGE_SRC --workload W --seed N
+
+PARENT_SRC and CHANGE_SRC are `src/` directories of two checkouts.  The
+job list is the one `perfbench/run.py --workload W --seed N` runs at the
+run length in BENCHMARK.json (every job carries `--no-timing`).  Each tree
+runs every job through `milnorscope.cli.main` in its own subprocess, with
+BLAS on one thread as in the benchmark.  The exit code and stdout of each
+job are compared; the first difference is printed as the job index and
+the field (`exit`, a JSON key path into stdout, or `stdout` when it is
+not JSON).  Exits 0 when everything matches and 1 otherwise.
+"""
+
+from __future__ import annotations
+
+import argparse
+import contextlib
+import io
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+BLAS_ENV = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+def job_argvs(workload: str, seed: int) -> list[list[str]]:
+    sys.path.insert(0, str(ROOT / "perfbench"))
+    import workloads
+    seconds = json.loads((ROOT / "BENCHMARK.json").read_text())["run_seconds"]
+    return [list(job.argv) for job in workloads.make_jobs(workload, seed, seconds)]
+
+
+def run_jobs(src: str) -> None:
+    """Run the argv lists on stdin through cli.main from `src`; print one
+    JSON line {"exit", "stdout"} per job."""
+    src_dir = Path(src).resolve()
+    sys.path.insert(0, str(src_dir))
+    from milnorscope import cli
+    if Path(cli.__file__).resolve().parent.parent != src_dir:
+        raise SystemExit(f"imported milnorscope from {cli.__file__}, not {src_dir}")
+    for argv in json.load(sys.stdin):
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+            try:
+                code = cli.main(argv)
+            except SystemExit as exc:       # argparse rejects its arguments
+                code = exc.code
+        print(json.dumps({"exit": code, "stdout": out.getvalue()}), flush=True)
+
+
+def first_difference(a, b, path: str) -> str | None:
+    """Key path of the first place where two parsed JSON values differ."""
+    if isinstance(a, dict) and isinstance(b, dict):
+        for key in list(a) + [k for k in b if k not in a]:
+            if key not in a or key not in b:
+                return f"{path}.{key}"
+            found = first_difference(a[key], b[key], f"{path}.{key}")
+            if found:
+                return found
+        return None if list(a) == list(b) else f"{path} (key order)"
+    if isinstance(a, list) and isinstance(b, list):
+        for k, (x, y) in enumerate(zip(a, b)):
+            found = first_difference(x, y, f"{path}[{k}]")
+            if found:
+                return found
+        return None if len(a) == len(b) else f"{path} (length)"
+    return None if a == b and type(a) is type(b) else path
+
+
+def field(a: dict, b: dict) -> str | None:
+    if a["exit"] != b["exit"]:
+        return f"exit ({a['exit']} vs {b['exit']})"
+    if a["stdout"] == b["stdout"]:
+        return None
+    try:
+        found = first_difference(json.loads(a["stdout"]), json.loads(b["stdout"]), "stdout")
+    except json.JSONDecodeError:
+        found = None
+    return found or "stdout"
+
+
+def main(argv=None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+    ap.add_argument("parent_src")
+    ap.add_argument("change_src")
+    ap.add_argument("--workload", required=True)
+    ap.add_argument("--seed", type=int, required=True)
+    args = ap.parse_args(argv)
+    jobs = json.dumps(job_argvs(args.workload, args.seed))
+    env = dict(os.environ, **{var: "1" for var in BLAS_ENV})
+    procs = [subprocess.Popen([sys.executable, __file__, "--run-jobs", src],
+                              stdin=subprocess.PIPE, stdout=subprocess.PIPE, env=env, text=True)
+             for src in (args.parent_src, args.change_src)]
+    outs = [p.communicate(jobs)[0] for p in procs]
+    if any(p.returncode for p in procs):
+        print("error: a job runner failed", file=sys.stderr)
+        return 2
+    parent, change = ([json.loads(line) for line in out.splitlines()] for out in outs)
+    count = len(json.loads(jobs))
+    if len(parent) != count or len(change) != count:
+        print("error: a job runner stopped early", file=sys.stderr)
+        return 2
+    for i, (a, b) in enumerate(zip(parent, change)):
+        diff = field(a, b)
+        if diff:
+            print(f"{args.workload} seed {args.seed}: job {i} differs at {diff}")
+            return 1
+    print(f"{args.workload} seed {args.seed}: {count} jobs, stdout and exit codes identical")
+    return 0
+
+
+if __name__ == "__main__":
+    if sys.argv[1:2] == ["--run-jobs"]:
+        run_jobs(sys.argv[2])
+        sys.exit(0)
+    sys.exit(main())
