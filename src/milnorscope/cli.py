@@ -191,6 +191,8 @@ def cmd_fiber(args) -> int:
     return EXIT_OK
 
 
+# overflow is written as null, so numpy need not warn about it
+@np.errstate(over="ignore", invalid="ignore")
 def cmd_flow(args) -> int:
     t0 = time.perf_counter()
     text = _read_input(args)

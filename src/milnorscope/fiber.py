@@ -110,26 +110,6 @@ def phase(psi: DiagonalMixedPolynomial, z) -> complex:
 # Newton to the fiber
 
 
-@dataclass(frozen=True, eq=False)
-class NewtonResult:
-    point: np.ndarray
-    residual: float
-    iterations: int
-    converged: bool
-
-
-def newton_to_fiber(f: RealPolynomialMap, c, x0,
-                    tol: float = NEWTON_TOL,
-                    max_iter: int = NEWTON_MAX_ITER) -> NewtonResult:
-    """Damped Gauss-Newton from x0 toward the fiber f^{-1}(c).
-
-    The batched iteration of `sample_fiber` run on a batch of one.
-    """
-    X, rn, its = _newton_batch(f, np.asarray(c, dtype=float),
-                               np.asarray(x0, dtype=float)[None], tol, max_iter)
-    return NewtonResult(X[0], float(rn[0]), int(its[0]), bool(rn[0] <= tol))
-
-
 def _newton_batch(f: RealPolynomialMap, c: np.ndarray, X: np.ndarray,
                   tol: float, max_iter: int
                   ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -292,8 +272,7 @@ def _cut_labels(order: np.ndarray, parent: np.ndarray, length: np.ndarray,
 
 
 def sample_fiber(f: RealPolynomialMap, c, eps: float,
-                 count: int = 2000, rng_seed: int = 0,
-                 tol: float = NEWTON_TOL) -> FiberSample:
+                 count: int = 2000, rng_seed: int = 0) -> FiberSample:
     """Sample f^{-1}(c) inside the closed eps-ball.
 
     Seeds are quasi-random in the ball; Gauss-Newton runs on all of
@@ -316,8 +295,8 @@ def sample_fiber(f: RealPolynomialMap, c, eps: float,
     if not np.all(np.isfinite(c)):
         raise ValueError("target value must be finite")
     seeds = sampling.ball_points(f.n, count, eps, rng_seed)
-    X, rn, _ = _newton_batch(f, c, seeds, tol, NEWTON_MAX_ITER)
-    keep = (rn <= tol) & (np.linalg.norm(X, axis=1) <= eps)
+    X, rn, _ = _newton_batch(f, c, seeds, NEWTON_TOL, NEWTON_MAX_ITER)
+    keep = (rn <= NEWTON_TOL) & (np.linalg.norm(X, axis=1) <= eps)
     pts = X[keep]
     res = rn[keep]
     if len(pts):
@@ -344,7 +323,7 @@ def sample_fiber(f: RealPolynomialMap, c, eps: float,
         labels = np.zeros(len(pts), dtype=int)
         ncomp = len(pts)
     return FiberSample(
-        target=c, eps=eps, seed_count=count, rng_seed=rng_seed, tol=tol,
+        target=c, eps=eps, seed_count=count, rng_seed=rng_seed, tol=NEWTON_TOL,
         points=pts, residuals=res, labels=labels, component_count=ncomp,
         linkage_radius=radius, nn_median=nn_median, singular_count=singular,
         unreliable=len(pts) < MIN_RELIABLE_POINTS)
@@ -364,11 +343,10 @@ class FiberComparison:
 
 
 def fiber_compare(f: RealPolynomialMap, c1, c2, eps: float,
-                  count: int = 2000, rng_seed: int = 0,
-                  tol: float = NEWTON_TOL) -> FiberComparison:
+                  count: int = 2000, rng_seed: int = 0) -> FiberComparison:
     """Sample the fibers over c1 and c2 with a shared configuration."""
-    s1 = sample_fiber(f, c1, eps, count=count, rng_seed=rng_seed, tol=tol)
-    s2 = sample_fiber(f, c2, eps, count=count, rng_seed=rng_seed, tol=tol)
+    s1 = sample_fiber(f, c1, eps, count=count, rng_seed=rng_seed)
+    s2 = sample_fiber(f, c2, eps, count=count, rng_seed=rng_seed)
     note = ("component counts compare sampled point clouds; differing counts "
             "indicate differing fibers, equal counts prove nothing")
     return FiberComparison(s1, s2, note)

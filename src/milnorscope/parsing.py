@@ -3,7 +3,7 @@
 Mixed grammar (one complex variable per term, conjugates marked with a
 trailing `~` or wrapped in `conj(...)`):
 
-    poly   := term (('+'|'-') term)*  ['vars' '=' INT]
+    poly   := ['+'|'-'] term (('+'|'-') term)*  ['vars' '=' INT]
     term   := [coeff] factor+
     coeff  := '(' complex ')' | real | imag
     factor := 'z' INT ['~'] ['^' INT]  |  'conj' '(' 'z' INT ')' ['^' INT]
@@ -15,7 +15,7 @@ Rational literals use '/', decimals are converted exactly.
 Real map grammar (explicit '*' for products, variables declared last):
 
     map    := '(' expr (',' expr)* ')' 'vars' ident (',' ident)*
-    expr   := ['-'] term (('+'|'-') term)*
+    expr   := ['+'|'-'] term (('+'|'-') term)*
     term   := factor ('*' factor)*
     factor := base ['^' INT]
     base   := number | ident | '(' expr ')'
@@ -25,6 +25,7 @@ Both parsers report the character position of the offending token.
 
 from __future__ import annotations
 
+import functools
 import re
 from fractions import Fraction
 
@@ -325,17 +326,10 @@ class _RealExprParser:
         self.n = n
 
     def expr(self) -> _Poly:
-        sign = -1 if self.cur.accept("OP", "-") else 1
-        acc = self.term()
-        if sign < 0:
-            acc = _p_mul(_p_const(Fraction(-1), self.n), acc)
-        while True:
-            if self.cur.accept("OP", "+"):
-                acc = _p_add(acc, self.term())
-            elif self.cur.accept("OP", "-"):
-                acc = _p_add(acc, _p_mul(_p_const(Fraction(-1), self.n), self.term()))
-            else:
-                return acc
+        def signed_term(cur, sign):
+            t = self.term()
+            return t if sign > 0 else {e: -c for e, c in t.items()}
+        return functools.reduce(_p_add, _signed_items(self.cur, signed_term))
 
     def term(self) -> _Poly:
         acc = self.factor()

@@ -2,10 +2,9 @@
 
 A map is stored as one coefficient dictionary per component, keyed by
 exponent tuples.  Coefficients are `fractions.Fraction`, so symbolic
-manipulation (partial derivatives, restriction to coordinate subspaces,
-evaluation at rational points) is exact.  Floating point enters only in
-the compiled evaluators used for numerics, which are vectorised over
-batches of points.
+manipulation (partial derivatives, evaluation at rational points) is
+exact.  Floating point enters only in the compiled evaluators used for
+numerics, which are vectorised over batches of points.
 """
 
 from __future__ import annotations
@@ -13,7 +12,7 @@ from __future__ import annotations
 import functools
 import itertools
 from fractions import Fraction
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -123,15 +122,6 @@ class RealPolynomialMap:
         xs = self._exact_point(x)
         return [[_eval_exact(self.partial(i, j), xs) for j in range(self.n)]
                 for i in range(self.p)]
-
-    def restricted_to_zero(self, zero_vars: Iterable[int]) -> "RealPolynomialMap":
-        """The map obtained by setting the given variables (0-based) to zero."""
-        zv = set(zero_vars)
-        comps = []
-        for comp in self.components:
-            kept = {e: c for e, c in comp.items() if all(e[j] == 0 for j in zv)}
-            comps.append(kept)
-        return RealPolynomialMap(self.n, comps, self.var_names)
 
     # ------------------------------------------------------------------
     # compiled float layer

@@ -494,12 +494,11 @@ def analyze(psi: DiagonalMixedPolynomial) -> StructureReport:
 
 def sample_critical_subspace(psi: DiagonalMixedPolynomial,
                              subspace: CriticalSubspace,
-                             count: int, rng: np.random.Generator,
-                             radius: float = 2.0) -> np.ndarray:
-    """Random complex points on a critical subspace (free coords in a disc)."""
+                             count: int, rng: np.random.Generator) -> np.ndarray:
+    """Random complex points on a critical subspace (free coords with |Re|, |Im| < 2)."""
     Z = np.zeros((count, psi.n), dtype=complex)
     for j in subspace.free_indices:
-        re = rng.uniform(-radius, radius, size=count)
-        im = rng.uniform(-radius, radius, size=count)
+        re = rng.uniform(-2.0, 2.0, size=count)
+        im = rng.uniform(-2.0, 2.0, size=count)
         Z[:, j - 1] = re + 1j * im
     return Z

@@ -54,17 +54,6 @@ class TransversalityVerdict(enum.Enum):
     INCONCLUSIVE = "Inconclusive"
 
 
-def tangency_matrix(f: RealPolynomialMap, x) -> np.ndarray:
-    """The (p+1) x n matrix whose rank decides tangency at x (x nonzero):
-    the gradient rows of f at x, then x itself."""
-    x = np.asarray(x, dtype=float)
-    if x.shape != (f.n,):
-        raise ValueError("point has wrong dimension")
-    if not np.any(x):
-        raise ValueError("point must be nonzero")
-    return np.vstack([f.grad_many(x), x[None, :]])
-
-
 def _normalized(M: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     # rows scaled to unit length; `zero` marks matrices with a vanishing row
     norms = np.linalg.norm(M, axis=2)
@@ -85,16 +74,6 @@ def _sigma_min(M: np.ndarray) -> np.ndarray:
     sig = np.linalg.svd(Mh, compute_uv=False)[:, -1]
     sig[zero] = 0.0
     return sig
-
-
-def dependence_measure(M) -> float:
-    """Smallest singular value of the row-normalised matrix.
-
-    Zero when some row vanishes or when there are more rows than
-    columns; zero exactly on rank-deficient matrices, and invariant
-    under positive rescaling of individual rows.
-    """
-    return float(_sigma_min(np.asarray(M, dtype=float)[None])[0])
 
 
 def tangency_minors_exact(f: RealPolynomialMap, x) -> list[Fraction]:
@@ -276,24 +255,23 @@ def _descend_sigma(field, X: np.ndarray, eps: float, iters: int,
     return X
 
 
-def _polish_batch(f: RealPolynomialMap, X: np.ndarray, eps: float,
-                  iters: int = 14) -> tuple[np.ndarray, np.ndarray]:
+def _polish_batch(f: RealPolynomialMap, X: np.ndarray,
+                  eps: float) -> tuple[np.ndarray, np.ndarray]:
     """Newton-style sharpening of near-tangency points using exact SVD values.
 
     The dependence measure grows linearly off its zero set, so the step
     sigma * g / |g|^2 along the finite-difference gradient converges
     fast; the step length for differencing shrinks with sigma to stay
-    on one side of the kink.  A row that stalls while others improve
-    repeats the same failed step, so running it beside other rows
-    leaves its result unchanged.
+    on one side of the kink.  A row retires once a step fails to
+    improve it, since repeating that step would fail the same way.
     """
     def sigma(X):
         return _sigma(f, X)
 
     X = _project(np.array(X, dtype=float), eps)
     s = sigma(X)
-    for _ in range(iters):
-        live = s > 1e-13
+    live = s > 1e-13
+    for _ in range(14):
         if not live.any():
             break
         idx = np.where(live)[0]
@@ -321,8 +299,7 @@ def _polish_batch(f: RealPolynomialMap, X: np.ndarray, eps: float,
             step[ridx[~good]] *= 0.4
         X[idx] = Xa
         s[idx] = cur
-        if not improved.any():
-            break
+        live[idx] = improved & (cur > 1e-13)
     return X, s
 
 
@@ -331,7 +308,6 @@ def search_tangency_locus(f: RealPolynomialMap, eps: float, *,
                           iters: int = DEFAULT_ITERS,
                           rng_seed: int = 0,
                           tol_tangency: float = TOL_TANGENCY,
-                          dedup_radius: float = DEDUP_RADIUS,
                           extra_seeds=None) -> LocusSearchResult:
     """Locate points on S_eps where fibers of f touch the sphere.
 
@@ -363,12 +339,12 @@ def search_tangency_locus(f: RealPolynomialMap, eps: float, *,
     made = _make_witnesses(f, cand, eps, tol_tangency)
 
     def dedup(ws):
-        # greedy by |f|: keep a witness beyond dedup_radius of all kept ones
+        # greedy by |f|: keep a witness beyond DEDUP_RADIUS of all kept ones
         ws = sorted(ws, key=lambda w: w.f_norm)
         kept = []
         pts = np.empty((min(len(ws), 512), f.n))
         for w in ws:
-            if np.all(np.linalg.norm(pts[:len(kept)] - w.point, axis=1) > dedup_radius):
+            if np.all(np.linalg.norm(pts[:len(kept)] - w.point, axis=1) > DEDUP_RADIUS):
                 pts[len(kept)] = w.point
                 kept.append(w)
             if len(kept) >= 512:
@@ -467,7 +443,6 @@ def falsify_transversality(f: RealPolynomialMap, eps: float, *,
                            tol_tangency: float = TOL_TANGENCY,
                            tol_v: float = TOL_V,
                            margin: float | None = None,
-                           dedup_radius: float = DEDUP_RADIUS,
                            extra_seeds=None) -> TransversalityReport:
     """Decide FailsWithWitness / HoldsAtBudget / Inconclusive on S_eps.
 
@@ -490,7 +465,9 @@ def falsify_transversality(f: RealPolynomialMap, eps: float, *,
         raise ValueError(f"iters must be zero or positive and finite, got {iters!r}")
     rng = np.random.default_rng(rng_seed + 7919)
     sample = sampling.sphere_points(f.n, 2048, eps, rng_seed + 101)
-    fvals = _fnorm(f, sample)
+    # overflow here is stated below, so numpy need not warn about it
+    with np.errstate(over="ignore", invalid="ignore"):
+        fvals = _fnorm(f, sample)
     overflow = int(np.count_nonzero(~np.isfinite(fvals)))
     if overflow:
         raise ValueError(f"evaluator overflow: |f| is not finite at {overflow} of "
@@ -508,10 +485,9 @@ def falsify_transversality(f: RealPolynomialMap, eps: float, *,
 
     locus = search_tangency_locus(
         f, eps, seeds=seeds, iters=iters, rng_seed=rng_seed,
-        tol_tangency=tol_tangency, dedup_radius=dedup_radius,
-        extra_seeds=extra_seeds)
+        tol_tangency=tol_tangency, extra_seeds=extra_seeds)
     tolerances = {"tol_tangency": tol_tangency, "tol_v": tol_v,
-                  "margin": margin, "dedup_radius": dedup_radius,
+                  "margin": margin, "dedup_radius": DEDUP_RADIUS,
                   "fd_step": 1e-6 * eps}
     min_f = locus.witnesses[0].f_norm if locus.witnesses else math.inf
     # locus points are sphere samples too; folding them in keeps the

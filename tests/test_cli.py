@@ -1,9 +1,13 @@
 """End-to-end command line behavior: exit codes, JSON shapes, determinism."""
 
+import inspect
 import json
+import re
+from pathlib import Path
 
 import pytest
 
+import milnorscope
 from milnorscope import __version__
 from milnorscope.cli import main
 
@@ -346,3 +350,19 @@ def test_version_flag(capsys):
         main(["--version"])
     assert exc.value.code == 0
     assert capsys.readouterr().out.strip() == __version__
+
+
+# ----------------------------------------------------------------------
+# the package root
+
+
+def test_exports_match_readme():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("## Python API\n", 1)[1].split("\n## ", 1)[0]
+    imported = set()
+    for block in re.findall(r"from milnorscope import \(([^)]*)\)", section):
+        imported |= set(re.findall(r"\w+", re.sub(r"#.*", "", block)))
+    exported = {name for name, value in vars(milnorscope).items()
+                if not name.startswith("_") and not inspect.ismodule(value)}
+    assert sorted(exported - imported) == []
+    assert sorted(imported - exported) == []

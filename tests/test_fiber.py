@@ -12,7 +12,6 @@ from milnorscope import (
     RadialWeights,
     fiber_compare,
     inflate_to_sphere,
-    newton_to_fiber,
     parse_mixed,
     parse_real_map,
     phase,
@@ -20,7 +19,7 @@ from milnorscope import (
     rplus_flow,
     sample_fiber,
 )
-from milnorscope.fiber import _cut_labels, _mst
+from milnorscope.fiber import NEWTON_MAX_ITER, NEWTON_TOL, _cut_labels, _mst, _newton_batch
 
 FAILING_MAP = parse_real_map("(x*y + z^2, x) vars x,y,z")
 G_MIXED = parse_mixed("z1 z1~ + z2^2 z2~")
@@ -149,25 +148,28 @@ def test_phase_states_overflow():
 
 
 def test_newton_converges_to_fiber():
-    res = newton_to_fiber(FAILING_MAP, (1.0, 0.0), [0.2, 0.5, 0.7])
-    assert res.converged
-    assert res.residual <= 1e-10
-    assert res.iterations >= 1
-    assert np.allclose(FAILING_MAP.eval_many(res.point), [1.0, 0.0], atol=2e-10)
+    X, rn, its = _newton_batch(FAILING_MAP, np.array([1.0, 0.0]), np.array([[0.2, 0.5, 0.7]]),
+                               NEWTON_TOL, NEWTON_MAX_ITER)
+    assert rn[0] <= NEWTON_TOL
+    assert rn[0] <= 1e-10
+    assert its[0] >= 1
+    assert np.allclose(FAILING_MAP.eval_many(X[0]), [1.0, 0.0], atol=2e-10)
 
 
 def test_newton_zero_iterations_on_the_fiber():
     x0 = np.array([1.0, 2.0, 3.0])
-    res = newton_to_fiber(FAILING_MAP, FAILING_MAP.eval_many(x0), x0)
-    assert res.converged
-    assert res.iterations == 0
-    assert np.array_equal(res.point, x0)
+    X, rn, its = _newton_batch(FAILING_MAP, FAILING_MAP.eval_many(x0), x0[None],
+                               NEWTON_TOL, NEWTON_MAX_ITER)
+    assert rn[0] <= NEWTON_TOL
+    assert its[0] == 0
+    assert np.array_equal(X[0], x0)
 
 
 def test_newton_respects_budget():
-    res = newton_to_fiber(FAILING_MAP, (1.0, 0.0), [0.2, 0.5, 0.7], max_iter=1)
-    assert res.iterations <= 1
-    assert not res.converged
+    X, rn, its = _newton_batch(FAILING_MAP, np.array([1.0, 0.0]), np.array([[0.2, 0.5, 0.7]]),
+                               NEWTON_TOL, 1)
+    assert its[0] <= 1
+    assert not rn[0] <= NEWTON_TOL
 
 
 # ----------------------------------------------------------------------

@@ -323,14 +323,6 @@ def test_exact_layer_rejects_wrong_dimension():
             evaluate([Fraction(1)])
 
 
-def test_restricted_to_zero():
-    f = parse_real_map("(x*y + z^2, x) vars x,y,z")
-    g = f.restricted_to_zero([0, 2])
-    assert g.eval_exact([Fraction(0), Fraction(5), Fraction(0)]) == (0, 0)
-    assert g.components[0] == {}
-    assert g.components[1] == {}
-
-
 def test_det_and_minors_exact():
     rows = [[Fraction(1), Fraction(2)], [Fraction(3), Fraction(4)]]
     assert det_exact(rows) == Fraction(-2)

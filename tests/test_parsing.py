@@ -185,6 +185,16 @@ def test_parse_real_map_unary_minus_and_parens():
     assert f.components[0] == {(2, 0): Fraction(-2), (0, 2): Fraction(1)}
 
 
+def test_parse_real_map_signed_items_like_parse_mixed():
+    # one signed-item loop: a leading '+' is accepted, a doubled sign is not
+    assert parse_real_map("(+x, y) vars x,y") == parse_real_map("(x, y) vars x,y")
+    with pytest.raises(ParseError, match="expected number, variable or"):
+        parse_real_map("(x - -y, y) vars x,y")
+    # monomials keep the order in which the terms introduce them
+    f = parse_real_map("(-x^2 + (y - x)*(y + x)) vars x,y")
+    assert list(f.components[0]) == [(2, 0), (0, 2)]
+
+
 def test_parse_real_map_errors():
     with pytest.raises(ParseError, match="unknown variable 'q'"):
         parse_real_map("(x + q) vars x,y")

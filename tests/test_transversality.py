@@ -9,20 +9,19 @@ import pytest
 
 from milnorscope import (
     TransversalityVerdict,
-    dependence_measure,
     falsify_transversality,
     parse_mixed,
     parse_real_map,
     search_tangency_locus,
     special_family_claim_check,
     special_family_minor,
-    tangency_matrix,
     tangency_minors_exact,
 )
 from milnorscope import sampling
 from milnorscope.realpoly import minors_exact
 from milnorscope.transversality import (_certify, _fd_grad, _fnorm,
-                                        _level_objective, _sigma)
+                                        _level_objective, _matrices, _sigma,
+                                        _sigma_min)
 
 FAILING_MAP = parse_real_map("(x*y + z^2, x) vars x,y,z")
 G_MIXED = parse_mixed("z1 z1~ + z2^2 z2~")
@@ -34,40 +33,35 @@ H_MIXED = parse_mixed("z1 z1~ - z2 z2~ + z3^2 z3~")
 
 
 def test_tangency_matrix_shape():
-    M = tangency_matrix(FAILING_MAP, [0.6, 0.8, 0.0])
+    M = _matrices(FAILING_MAP, np.array([0.6, 0.8, 0.0])[None])[0]
     assert M.shape == (3, 3)
     assert np.array_equal(M[-1], [0.6, 0.8, 0.0])
     assert np.array_equal(M[0], [0.8, 0.6, 0.0])
     assert np.array_equal(M[1], [1.0, 0.0, 0.0])
 
 
-def test_tangency_matrix_rejects_bad_points():
-    with pytest.raises(ValueError, match="wrong dimension"):
-        tangency_matrix(FAILING_MAP, [1.0, 2.0])
-    with pytest.raises(ValueError, match="nonzero"):
-        tangency_matrix(FAILING_MAP, [0.0, 0.0, 0.0])
-
-
 def test_dependence_zero_on_tangency_plane():
     # fibers of (xy + z^2, x) touch every sphere along z = 0
-    assert dependence_measure(tangency_matrix(FAILING_MAP, [0.6, 0.8, 0.0])) < 1e-12
+    X = np.array([[0.6, 0.8, 0.0]])
+    assert _sigma_min(_matrices(FAILING_MAP, X))[0] < 1e-12
     # and along x = 2y
-    sigma = dependence_measure(tangency_matrix(FAILING_MAP, [0.8, 0.4, math.sqrt(0.2)]))
+    X = np.array([[0.8, 0.4, math.sqrt(0.2)]])
+    sigma = _sigma_min(_matrices(FAILING_MAP, X))[0]
     assert sigma < 1e-12
 
 
 def test_dependence_positive_off_the_tangency_set():
     x = np.array([0.3, 0.5, math.sqrt(1 - 0.34)])
-    assert dependence_measure(tangency_matrix(FAILING_MAP, x)) > 1e-3
+    assert _sigma_min(_matrices(FAILING_MAP, x[None]))[0] > 1e-3
 
 
 def test_dependence_measure_conventions():
-    assert dependence_measure(np.eye(3)) == pytest.approx(1.0)
-    assert dependence_measure(np.array([[0.0, 0.0], [1.0, 0.0]])) == 0.0
-    assert dependence_measure(np.array([[1.0, 0], [0, 1], [1, 1]])) == 0.0
+    assert _sigma_min(np.eye(3)[None])[0] == pytest.approx(1.0)
+    assert _sigma_min(np.array([[[0.0, 0.0], [1.0, 0.0]]]))[0] == 0.0
+    assert _sigma_min(np.array([[[1.0, 0], [0, 1], [1, 1]]]))[0] == 0.0
     M = np.array([[1.0, 2.0, 0.0], [0.0, 1.0, 1.0], [3.0, 0.0, 1.0]])
     scaled = np.diag([10.0, 0.01, 7.0]) @ M
-    assert dependence_measure(scaled) == pytest.approx(dependence_measure(M))
+    assert _sigma_min(scaled[None])[0] == pytest.approx(_sigma_min(M[None])[0])
 
 
 def test_dependence_agrees_with_exact_minors():
@@ -87,7 +81,7 @@ def test_dependence_agrees_with_exact_minors():
             r3 = rand_row()
         rows = [r1, r2, r3]
         dependent = all(m == 0 for m in minors_exact(rows, 3))
-        sigma = dependence_measure(np.array(rows, dtype=float))
+        sigma = _sigma_min(np.array(rows, dtype=float)[None])[0]
         if dependent:
             assert sigma < 1e-10
         else:
