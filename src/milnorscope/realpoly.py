@@ -5,6 +5,23 @@ exponent tuples.  Coefficients are `fractions.Fraction`, so symbolic
 manipulation (partial derivatives, evaluation at rational points) is
 exact.  Floating point enters only in the compiled evaluators used for
 numerics, which are vectorised over batches of points.
+
+`eval_many` and `grad_many` run one kernel, compiled once per map (and
+once for its Jacobian entries) by `_flatten`:
+
+- a power table: the distinct (variable, exponent >= 1) pairs that occur,
+  plus a ones column, raised with one array-exponent `np.power` per call;
+- each monomial's value: the product of its non-trivial factors in
+  variable order (padded with the ones column), times its coefficient;
+- each polynomial's value: its monomials summed by `np.add.at`, in
+  monomial order from +0.0.
+
+Contract: the values are bit-identical, NaN signs included, to raising
+every point to every monomial's full exponent row (`x ** E`), taking
+each row's product and summing as above, and the kernel warns on exactly
+the inputs that formula warns on (the skipped factors are x**0 = 1.0,
+which is exact and raises nothing).  Each row depends only on its own
+point, so a batch gives the same bits as its rows one at a time.
 """
 
 from __future__ import annotations
@@ -47,16 +64,29 @@ def _eval_exact(poly: Monomials, xs: Sequence[Fraction]) -> Fraction:
 
 
 def _flatten(polys: Sequence[Monomials], n: int):
-    # one row of exponents per monomial, with the index of the polynomial
-    # it belongs to, and the number of polynomials
-    expos, coeffs, seg = [], [], []
-    for k, poly in enumerate(polys):
-        for e, c in poly.items():
-            expos.append(e)
-            coeffs.append(float(c))
-            seg.append(k)
-    return (np.array(expos, dtype=np.int64).reshape(-1, n), np.array(coeffs, dtype=float),
-            np.array(seg, dtype=np.int64), len(polys))
+    # Compile the polynomials into the kernel `_evaluate` runs (see the
+    # module docstring); row k of F, C and S belongs to monomial k.
+    #   pv, pe  the power table: variable and exponent of each column; the
+    #           last column is (0, 0), which pow makes 1.0 everywhere
+    #   F       (m, w) power-table columns of each monomial's factors, in
+    #           variable order, padded with the ones column
+    #   C, S    (m, 1) coefficients and (m,) polynomial indices
+    rows = [[(j, e) for j, e in enumerate(expo) if e] for poly in polys for expo in poly]
+    if n == 1 and rows == [[(0, 2)]]:
+        # one monomial in one variable: x ** E then takes numpy's
+        # scalar-exponent path, which squares as x * x
+        rows = [[(0, 1), (0, 1)]]
+    pairs = sorted({pair for row in rows for pair in row}) + [(0, 0)]
+    column = {pair: i for i, pair in enumerate(pairs)}
+    width = max([1] + [len(row) for row in rows])
+    factors = [[column[pair] for pair in row] + [len(pairs) - 1] * (width - len(row))
+               for row in rows]
+    return (np.array([j for j, _ in pairs], dtype=np.intp),
+            np.array([e for _, e in pairs], dtype=float),
+            np.array(factors, dtype=np.intp).reshape(-1, width),
+            np.array([float(c) for poly in polys for c in poly.values()])[:, None],
+            np.array([k for k, poly in enumerate(polys) for _ in poly], dtype=np.intp),
+            len(polys))
 
 
 class RealPolynomialMap:
@@ -136,17 +166,21 @@ class RealPolynomialMap:
                         self.n)
 
     def _evaluate(self, X, compiled, shape: tuple[int, ...]) -> np.ndarray:
-        # sum each monomial's value into the polynomial it belongs to
         X = np.asarray(X, dtype=float)
         single = X.ndim == 1
         if single:
             X = X[None, :]
         if X.shape[1] != self.n:
             raise ValueError("points have wrong dimension")
-        E, C, S, count = compiled
-        P = np.prod(X[:, None, :] ** E[None, :, :], axis=2)
+        pv, pe, F, C, S, count = compiled
+        # the exponents vary along pow's inner loop (at least two columns),
+        # which keeps numpy on its array-exponent path, as x ** E takes
+        T = np.power(X[:, pv], pe).T.copy()
+        # numpy multiplies along a reduction in order, so each product
+        # rounds as the full row's did (its other factors were exact 1.0s)
+        P = np.multiply.reduce(T.take(F, axis=0), axis=1) * C
         vals = np.zeros((X.shape[0], count))
-        np.add.at(vals.T, S, (P * C).T)
+        np.add.at(vals.T, S, P)
         vals = vals.reshape((X.shape[0],) + shape)
         return vals[0] if single else vals
 

@@ -2,6 +2,7 @@
 finite-difference oracle, plus the exact real expansion."""
 
 import math
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -353,3 +354,109 @@ def test_wirtinger_consistency_property(seed):
     J1 = psi.real_jacobian(reals_to_complex(x))
     J2 = f.grad_many(x)
     assert np.allclose(J1, J2, rtol=1e-9, atol=1e-9)
+
+
+# ----------------------------------------------------------------------
+# the compiled evaluators, pinned bit for bit to the plain formula
+
+
+def reference_evaluate(f, X, grad=False):
+    """The evaluators' values by the plain formula: every point raised to
+    every monomial's full exponent row, one product per monomial, and the
+    coefficient-weighted monomials summed into their polynomial by
+    np.add.at in monomial order."""
+    polys = ([f.partial(i, j) for i in range(f.p) for j in range(f.n)] if grad
+             else f.components)
+    E = np.array([e for poly in polys for e in poly], dtype=np.int64).reshape(-1, f.n)
+    C = np.array([float(c) for poly in polys for c in poly.values()])
+    S = np.array([k for k, poly in enumerate(polys) for _ in poly], dtype=np.int64)
+    X2 = np.asarray(X, dtype=float).reshape(-1, f.n)
+    P = np.prod(X2[:, None, :] ** E[None, :, :], axis=2)
+    vals = np.zeros((X2.shape[0], len(polys)))
+    np.add.at(vals.T, S, (P * C).T)
+    vals = vals.reshape((X2.shape[0], f.p) + ((f.n,) if grad else ()))
+    return vals[0] if np.ndim(X) == 1 else vals
+
+
+PINNED_MAPS = {
+    "G": parse_mixed("z1 z1~ + z2^2 z2~").to_real_map(),
+    # four partials of H are identically zero: empty sums
+    "H": parse_mixed("z1 z1~ - z2 z2~ + z3^2 z3~").to_real_map(),
+    "worked": parse_mixed("(1+i) z1 z1~ + (-2-i) z2^2 z2~^2 + i z3^2 z3~").to_real_map(),
+    "failing": parse_real_map("(x*y + z^2, x) vars x,y,z"),
+    "overflow": parse_real_map("(x^2000*y + z^2, x) vars x,y,z"),
+    # one (variable, exponent) pair in all
+    "one pair x": parse_real_map("(x^2, 3*x^2) vars x"),
+    "one pair y": parse_real_map("(y^2, y^2 - 2) vars x,y"),
+    # one monomial in one variable
+    "square": parse_real_map("(x^2) vars x"),
+    "cube": parse_real_map("(-1/3*x^3) vars x"),
+}
+BATCH_SIZES = (1, 2, 5, 2048)
+SPECIAL_VALUES = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324, -2.5e-310,
+                           1e-300, -1e300, 1e300, 1.5, -3.0])
+
+
+def pinned_points(rng, N, n):
+    """Three batches: moderate values, magnitudes from 1e-300 to 1e300,
+    and those mixed with signed zeros, subnormals, infinities and nan."""
+    moderate = 3 * rng.standard_normal((N, n))
+    wide = rng.choice([-1.0, 1.0], (N, n)) * 10.0 ** rng.uniform(-300, 300, (N, n))
+    mixed = np.where(rng.random((N, n)) < 0.3, rng.choice(SPECIAL_VALUES, (N, n)), wide)
+    return moderate, wide, mixed
+
+
+def recorded(evaluate, X):
+    """evaluate(X) and whether it emitted a RuntimeWarning."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        out = evaluate(X)
+    return out, any(issubclass(w.category, RuntimeWarning) for w in caught)
+
+
+def assert_pinned(f, rng):
+    for grad, evaluate in ((False, f.eval_many), (True, f.grad_many)):
+        batches = [X for N in BATCH_SIZES for X in pinned_points(rng, N, f.n)]
+        for X in batches + [X[0] for X in pinned_points(rng, 1, f.n)]:
+            want, want_warned = recorded(lambda X: reference_evaluate(f, X, grad), X)
+            got, warned = recorded(evaluate, X)
+            assert got.shape == want.shape and got.flags.c_contiguous
+            assert np.array_equal(got.view(np.int64), want.view(np.int64)), (f, grad, X.shape)
+            assert warned == want_warned, (f, grad, X.shape)
+
+
+@pytest.mark.parametrize("name", PINNED_MAPS)
+def test_evaluators_match_the_plain_formula_bit_for_bit(name):
+    assert_pinned(PINNED_MAPS[name], np.random.default_rng(sorted(PINNED_MAPS).index(name)))
+
+
+@st.composite
+def sparse_maps(draw):
+    n = draw(st.integers(min_value=1, max_value=4))
+    exponent = st.sampled_from((0, 0, 0, 1, 2, 3, 7))
+    coeff = st.fractions(min_value=-9, max_value=9, max_denominator=7)
+    comps = [draw(st.dictionaries(st.tuples(*[exponent] * n), coeff, max_size=6))
+             for _ in range(draw(st.integers(min_value=1, max_value=3)))]
+    return RealPolynomialMap(n, comps)
+
+
+@settings(max_examples=25, deadline=None)
+@given(sparse_maps(), st.integers(min_value=0, max_value=2 ** 32 - 1))
+def test_evaluators_match_the_plain_formula_on_sparse_maps(f, seed):
+    assert_pinned(f, np.random.default_rng(seed))
+
+
+@pytest.mark.parametrize("name", PINNED_MAPS)
+def test_evaluator_rows_are_independent_of_the_batch(name):
+    """Row i of a batch equals, bit for bit, the batch of one and the 1-D
+    call on point i (stacked finite differences and batched certification
+    rely on this)."""
+    f = PINNED_MAPS[name]
+    rng = np.random.default_rng(31)
+    for X in pinned_points(rng, 40, f.n):
+        with np.errstate(all="ignore"):
+            for evaluate in (f.eval_many, f.grad_many):
+                batch = evaluate(X)
+                for i, x in enumerate(X):
+                    for alone in (evaluate(X[i:i + 1])[0], evaluate(x)):
+                        assert np.array_equal(alone.view(np.int64), batch[i].view(np.int64))

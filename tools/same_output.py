@@ -1,15 +1,17 @@
 """Check that two source trees print the same output on a benchmark job list.
 
-    python3 tools/same_output.py PARENT_SRC CHANGE_SRC --workload W --seed N
+    python3 tools/same_output.py PARENT_SRC CHANGE_SRC --workload W [W ...] --seed N [N ...]
 
-PARENT_SRC and CHANGE_SRC are `src/` directories of two checkouts.  The
-job list is the one `perfbench/run.py --workload W --seed N` runs at the
-run length in BENCHMARK.json (every job carries `--no-timing`).  Each tree
+PARENT_SRC and CHANGE_SRC are `src/` directories of two checkouts.  Each
+workload is checked at each seed, in the order given.  A job list is the
+one `perfbench/run.py --workload W --seed N` runs at the run length in
+BENCHMARK.json (every job carries `--no-timing`).  Each tree
 runs every job through `milnorscope.cli.main` in its own subprocess, with
 BLAS on one thread as in the benchmark.  The exit code and stdout of each
 job are compared; the first difference is printed as the job index and
 the field (`exit`, a JSON key path into stdout, or `stdout` when it is
-not JSON).  Exits 0 when everything matches and 1 otherwise.
+not JSON), and the check stops there.  Exits 0 when everything matches
+and 1 otherwise.
 """
 
 from __future__ import annotations
@@ -83,18 +85,12 @@ def field(a: dict, b: dict) -> str | None:
     return found or "stdout"
 
 
-def main(argv=None) -> int:
-    ap = argparse.ArgumentParser(description=__doc__.split("\n")[0])
-    ap.add_argument("parent_src")
-    ap.add_argument("change_src")
-    ap.add_argument("--workload", required=True)
-    ap.add_argument("--seed", type=int, required=True)
-    args = ap.parse_args(argv)
-    jobs = json.dumps(job_argvs(args.workload, args.seed))
+def compare(parent_src: str, change_src: str, workload: str, seed: int) -> int:
+    jobs = json.dumps(job_argvs(workload, seed))
     env = dict(os.environ, **{var: "1" for var in BLAS_ENV})
     procs = [subprocess.Popen([sys.executable, __file__, "--run-jobs", src],
                               stdin=subprocess.PIPE, stdout=subprocess.PIPE, env=env, text=True)
-             for src in (args.parent_src, args.change_src)]
+             for src in (parent_src, change_src)]
     outs = [p.communicate(jobs)[0] for p in procs]
     if any(p.returncode for p in procs):
         print("error: a job runner failed", file=sys.stderr)
@@ -107,9 +103,24 @@ def main(argv=None) -> int:
     for i, (a, b) in enumerate(zip(parent, change)):
         diff = field(a, b)
         if diff:
-            print(f"{args.workload} seed {args.seed}: job {i} differs at {diff}")
+            print(f"{workload} seed {seed}: job {i} differs at {diff}")
             return 1
-    print(f"{args.workload} seed {args.seed}: {count} jobs, stdout and exit codes identical")
+    print(f"{workload} seed {seed}: {count} jobs, stdout and exit codes identical", flush=True)
+    return 0
+
+
+def main(argv=None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+    ap.add_argument("parent_src")
+    ap.add_argument("change_src")
+    ap.add_argument("--workload", nargs="+", required=True)
+    ap.add_argument("--seed", type=int, nargs="+", required=True)
+    args = ap.parse_args(argv)
+    for workload in args.workload:
+        for seed in args.seed:
+            code = compare(args.parent_src, args.change_src, workload, seed)
+            if code:
+                return code
     return 0
 
 
