@@ -52,19 +52,12 @@ def _read_input(args) -> str:
     return args.expr
 
 
-def _sniff_kind(text: str) -> str:
-    # the real-map grammar declares variables by name: 'vars x,y';
-    # the mixed grammar only ever uses 'vars=<int>'
+def _parse_any(text: str):
+    # the grammars are disjoint: a real map declares its variables by
+    # name, 'vars x,y'; the mixed grammar only ever uses 'vars=<int>'
     if re.search(r"vars\s*[A-Za-z_]", text):
-        return "realmap"
-    return "mixed"
-
-
-def _parse_any(text: str, kind: str):
-    kind = kind if kind != "auto" else _sniff_kind(text)
-    if kind == "mixed":
-        return parse_mixed(text)
-    return parse_real_map(text)
+        return parse_real_map(text)
+    return parse_mixed(text)
 
 
 def _as_real_map(obj) -> RealPolynomialMap:
@@ -80,6 +73,13 @@ def _floats(text: str) -> list[float]:
         raise ParseError(f"bad numeric list {text!r}", 0) from exc
     if not all(math.isfinite(v) for v in vals):
         raise ParseError(f"non-finite number in {text!r}", 0)
+    return vals
+
+
+def _target(option: str, text: str, p: int) -> list[float]:
+    vals = _floats(text)
+    if len(vals) != p:
+        raise ParseError(f"{option} needs {p} components, got {len(vals)}", 0)
     return vals
 
 
@@ -127,7 +127,7 @@ def _falsify_each(args, obj, radii):
 def cmd_analyze(args) -> int:
     t0 = time.perf_counter()
     text = _read_input(args)
-    obj = _parse_any(text, args.kind)
+    obj = _parse_any(text)
     if not isinstance(obj, DiagonalMixedPolynomial):
         raise ParseError("analyze expects a diagonal mixed polynomial", 0)
     report = analyze(obj)
@@ -143,7 +143,7 @@ def cmd_analyze(args) -> int:
 def cmd_transversality(args) -> int:
     t0 = time.perf_counter()
     text = _read_input(args)
-    f = _as_real_map(_parse_any(text, args.kind))
+    f = _as_real_map(_parse_any(text))
     reports = _falsify_each(args, f, args.eps)
     verdicts = [r.verdict for r in reports]
     doc = _tool_header("transversality", text)
@@ -166,14 +166,10 @@ def cmd_transversality(args) -> int:
 def cmd_fiber(args) -> int:
     t0 = time.perf_counter()
     text = _read_input(args)
-    f = _as_real_map(_parse_any(text, args.kind))
-    value = _floats(args.value)
-    if len(value) != f.p:
-        raise ParseError(f"--value needs {f.p} components, got {len(value)}", 0)
+    f = _as_real_map(_parse_any(text))
+    value = _target("--value", args.value, f.p)
     if args.compare is not None:
-        value2 = _floats(args.compare)
-        if len(value2) != f.p:
-            raise ParseError(f"--compare needs {f.p} components, got {len(value2)}", 0)
+        value2 = _target("--compare", args.compare, f.p)
         cmp = fiber_compare(f, value, value2, args.eps, count=args.count,
                             rng_seed=args.rng_seed)
         doc = _tool_header("fiber", text)
@@ -196,7 +192,7 @@ def cmd_fiber(args) -> int:
 def cmd_flow(args) -> int:
     t0 = time.perf_counter()
     text = _read_input(args)
-    obj = _parse_any(text, args.kind)
+    obj = _parse_any(text)
     if not isinstance(obj, DiagonalMixedPolynomial):
         raise ParseError("flow expects a diagonal mixed polynomial", 0)
     params = radial_weights(obj)
@@ -269,9 +265,6 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p):
         p.add_argument("expr", nargs="?", help="polynomial or map expression")
         p.add_argument("--file", help="read the expression from a file")
-        p.add_argument("--kind", choices=("auto", "mixed", "realmap"),
-                       default="auto",
-                       help="input grammar; auto detects 'vars <name>' maps")
         p.add_argument("--out", help="write output to a file instead of stdout")
         p.add_argument("--rng-seed", type=int, default=0)
         p.add_argument("--no-timing", action="store_true",

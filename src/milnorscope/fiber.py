@@ -28,6 +28,7 @@ from . import sampling
 from .mixed import DiagonalMixedPolynomial
 from .realpoly import RealPolynomialMap
 from .structure import RadialWeights
+from .transversality import _backtrack
 
 NEWTON_TOL = 1e-10
 NEWTON_MAX_ITER = 100
@@ -130,36 +131,17 @@ def _newton_batch(f: RealPolynomialMap, c: np.ndarray, X: np.ndarray,
         idx = np.where(active)[0]
         if idx.size == 0:
             break
-        Xa = X[idx]
-        J = f.grad_many(Xa)
+        J = f.grad_many(X[idx])
         delta = (np.linalg.pinv(J) @ (R[idx][:, :, None]))[:, :, 0]
         bad = ~np.all(np.isfinite(delta), axis=1)
         delta[bad] = 0.0
         its[idx[~bad]] += 1
-        lam = np.ones(idx.size)
-        moved = np.zeros(idx.size, dtype=bool)
-        cur = rn[idx].copy()
-        newX = Xa.copy()
-        newR = R[idx].copy()
-        for _ in range(12):
-            rem = ~moved & ~bad
-            if not rem.any():
-                break
-            ridx = np.where(rem)[0]
-            T = Xa[ridx] - lam[ridx, None] * delta[ridx]
-            RT = f.eval_many(T) - c
-            rt = np.linalg.norm(RT, axis=1)
-            good = rt < cur[ridx]
-            hit = ridx[good]
-            newX[hit] = T[good]
-            newR[hit] = RT[good]
-            cur[hit] = rt[good]
-            moved[hit] = True
-            lam[ridx[~good]] *= 0.5
-        X[idx] = newX
-        R[idx] = newR
-        rn[idx] = cur
-        active[idx] = moved & (cur > tol)
+        moved, X[idx], R[idx] = _backtrack(
+            lambda T: (T, f.eval_many(T) - c),
+            lambda RT, R0, _: np.linalg.norm(RT, axis=1) < np.linalg.norm(R0, axis=1),
+            X[idx], R[idx], delta, np.ones(idx.size), ~bad, 12, 0.5)
+        rn[idx] = np.linalg.norm(R[idx], axis=1)
+        active[idx] = moved & (rn[idx] > tol)
     return X, rn, its
 
 

@@ -204,10 +204,47 @@ def _make_witnesses(f: RealPolynomialMap, X: np.ndarray, eps: float,
             for x, s, sg, fn, sm in zip(X, sigma, sigma_grad, f_norm, smin)]
 
 
+def _backtrack(trial, better, X: np.ndarray, V: np.ndarray, D: np.ndarray,
+               step: np.ndarray, tries: np.ndarray, levels: int, shrink: float
+               ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Batched backtracking line search from the rows of X along -D.
+
+    Rows with `tries` set propose X - step * D; `trial` maps proposals to
+    points and values, and `better(values, old values, rows of the batch)`
+    accepts some.  An accepted row is not tried again; a rejected row's
+    step is multiplied by `shrink` in place.  `trial` runs at most
+    `levels` times.  Returns which rows moved and the new points and
+    values; rows that did not move keep X and V.
+    """
+    moved = np.zeros(len(X), dtype=bool)
+    newX = X.copy()
+    newV = V.copy()
+    for _ in range(levels):
+        rows = np.where(tries & ~moved)[0]
+        if rows.size == 0:
+            break
+        T, vT = trial(X[rows] - step[rows, None] * D[rows])
+        ok = better(vT, V[rows], rows)
+        newX[rows[ok]] = T[ok]
+        newV[rows[ok]] = vT[ok]
+        moved[rows[ok]] = True
+        step[rows[~ok]] *= shrink
+    return moved, newX, newV
+
+
+def _on_sphere(field, eps: float):
+    # a line-search trial: project onto S_eps, then evaluate
+    def trial(Y):
+        T = _project(Y, eps)
+        return T, field(T)
+    return trial
+
+
 def _descend_sigma(field, X: np.ndarray, eps: float, iters: int,
                    freeze_below: float) -> np.ndarray:
     """Multistart projected descent of a batched scalar field on the sphere.
 
+    A step is accepted under the Armijo test v <= v0 - 1e-4 step |g|^2.
     A point stops once its value drops below `freeze_below`.
     """
     X = _project(np.array(X, dtype=float), eps)
@@ -224,33 +261,16 @@ def _descend_sigma(field, X: np.ndarray, eps: float, iters: int,
         G = _fd_grad(field, Xa, h)
         G = _tangent_part(G, Xa, eps)
         gn2 = np.sum(G * G, axis=1)
-        va = val[idx]
-        al = alpha[idx].copy()
-        accepted = np.zeros(idx.size, dtype=bool)
+        al = alpha[idx]
         stuck = gn2 < 1e-30
-        newX = Xa.copy()
-        newv = va.copy()
-        first_ok = np.zeros(idx.size, dtype=bool)
-        for level in range(18):
-            rem = ~accepted & ~stuck
-            if not rem.any():
-                break
-            ridx = np.where(rem)[0]
-            T = _project(Xa[ridx] - al[ridx, None] * G[ridx], eps)
-            vT = field(T)
-            ok = vT <= va[ridx] - 1e-4 * al[ridx] * gn2[ridx]
-            hit = ridx[ok]
-            newX[hit] = T[ok]
-            newv[hit] = vT[ok]
-            accepted[hit] = True
-            if level == 0:
-                first_ok[hit] = True
-            al[ridx[~ok]] *= 0.5
-        al[first_ok] = np.minimum(al[first_ok] * 1.3, 0.3 * eps)
-        X[idx] = newX
-        val[idx] = newv
+        accepted, X[idx], val[idx] = _backtrack(
+            _on_sphere(field, eps), lambda v, v0, r: v <= v0 - 1e-4 * al[r] * gn2[r],
+            Xa, val[idx], G, al, ~stuck, 18, 0.5)
+        # a step that was never shrunk was accepted at its first try
+        grow = accepted & (al == alpha[idx])
+        al[grow] = np.minimum(al[grow] * 1.3, 0.3 * eps)
         alpha[idx] = al
-        done = stuck | (~accepted & (al < 1e-14 * eps)) | (newv < freeze_below)
+        done = stuck | (~accepted & (al < 1e-14 * eps)) | (val[idx] < freeze_below)
         active[idx[done]] = False
     return X
 
@@ -282,24 +302,9 @@ def _polish_batch(f: RealPolynomialMap, X: np.ndarray,
         gn2 = np.sum(G * G, axis=1)
         ok_grad = gn2 > 1e-30
         step = np.where(ok_grad, s[idx] / np.where(ok_grad, gn2, 1.0), 0.0)
-        improved = np.zeros(idx.size, dtype=bool)
-        cur = s[idx].copy()
-        for _ in range(8):
-            rem = ~improved & ok_grad
-            if not rem.any():
-                break
-            ridx = np.where(rem)[0]
-            T = _project(Xa[ridx] - step[ridx, None] * G[ridx], eps)
-            sT = sigma(T)
-            good = sT < cur[ridx]
-            hit = ridx[good]
-            Xa[hit] = T[good]
-            cur[hit] = sT[good]
-            improved[hit] = True
-            step[ridx[~good]] *= 0.4
-        X[idx] = Xa
-        s[idx] = cur
-        live[idx] = improved & (cur > 1e-13)
+        improved, X[idx], s[idx] = _backtrack(_on_sphere(sigma, eps), lambda v, v0, r: v < v0,
+                                              Xa, s[idx], G, step, ok_grad, 8, 0.4)
+        live[idx] = improved & (s[idx] > 1e-13)
     return X, s
 
 

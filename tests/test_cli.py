@@ -125,12 +125,6 @@ def test_transversality_rejects_negative_radius(capsys):
     assert err.startswith("error:")
 
 
-def test_transversality_kind_mismatch(capsys):
-    code, _, err = run(capsys, ["transversality", G, "--kind", "realmap"] + FAST)
-    assert code == 2
-    assert err.startswith("error:")
-
-
 # ----------------------------------------------------------------------
 # fiber
 

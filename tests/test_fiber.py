@@ -217,6 +217,15 @@ def test_fiber_labels_split_by_branch():
         assert np.all(zs > 0.5) or np.all(zs < -0.5)
 
 
+@pytest.mark.xfail(strict=True, reason="program defect: the final one-component interval, "
+                   "capped at the cloud diameter, outlasts the two-line plateau")
+def test_fiber_two_lines_with_an_outlying_sample():
+    # over (0.254227, 0) the fiber is the pair of lines {x=0, z=+-0.504}, 1.008
+    # apart; one sample near the ball's edge sits 0.176 from the rest of its line
+    s = sample_fiber(FAILING_MAP, (0.254227, 0.0), 3.0, count=2000, rng_seed=1390379062)
+    assert s.component_count == 2
+
+
 def test_fiber_count_connected_surface():
     g = G_MIXED.to_real_map()
     s = sample_fiber(g, (1.0, 0.0), 2.0, count=600, rng_seed=0)

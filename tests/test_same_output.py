@@ -1,0 +1,43 @@
+"""The JSON diff of tools/same_output.py, which compares two trees' outputs."""
+
+import importlib.util
+import json
+from pathlib import Path
+
+TOOL = Path(__file__).resolve().parent.parent / "tools" / "same_output.py"
+_spec = importlib.util.spec_from_file_location("same_output", TOOL)
+same_output = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(same_output)
+first_difference = same_output.first_difference
+
+
+def test_equal_documents_have_no_difference():
+    doc = {"a": [1, {"b": 2.5}], "c": None}
+    assert first_difference(doc, json.loads(json.dumps(doc)), "stdout") is None
+
+
+def test_nested_key_path():
+    a = {"reports": [{"witnesses": [{"f_norm": 0.5}]}, {"x": 1}]}
+    b = {"reports": [{"witnesses": [{"f_norm": 0.25}]}, {"x": 1}]}
+    assert first_difference(a, b, "stdout") == "stdout.reports[0].witnesses[0].f_norm"
+    c = {"reports": [{"witnesses": [{"f_norm": 0.5}]}, {"y": 1}]}
+    assert first_difference(a, c, "stdout") == "stdout.reports[1].x"
+
+
+def test_key_order():
+    a = json.loads('{"x": 1, "y": 2}')
+    b = json.loads('{"y": 2, "x": 1}')
+    assert a == b
+    assert first_difference(a, b, "stdout") == "stdout (key order)"
+
+
+def test_list_length():
+    assert first_difference({"p": [1, 2]}, {"p": [1, 2, 3]}, "stdout") == "stdout.p (length)"
+    assert first_difference([0, 1], [0, 2, 3], "stdout") == "stdout[1]"
+
+
+def test_equal_values_of_different_types():
+    a, b = json.loads('{"n": 1}'), json.loads('{"n": 1.0}')
+    assert a == b
+    assert first_difference(a, b, "stdout") == "stdout.n"
+    assert first_difference(1, 1, "stdout") is None

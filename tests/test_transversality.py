@@ -19,7 +19,7 @@ from milnorscope import (
 )
 from milnorscope import sampling
 from milnorscope.realpoly import minors_exact
-from milnorscope.transversality import (_certify, _fd_grad, _fnorm,
+from milnorscope.transversality import (_backtrack, _certify, _fd_grad, _fnorm,
                                         _level_objective, _matrices, _sigma,
                                         _sigma_min)
 
@@ -173,6 +173,32 @@ def test_fd_grad_matches_column_by_column_reference():
     for field in fields:
         for h in (1e-6, np.array([1e-6, 3e-8, 1e-9])):
             assert np.array_equal(_fd_grad(field, X, h), fd_grad_by_columns(field, X, h))
+
+
+def test_backtrack_contract():
+    # toy field v = x^2 in one variable, steps along -D, shrink 0.5
+    X = np.array([[1.0], [2.0], [3.0], [4.0]])
+    V = X[:, 0] ** 2
+    D = np.array([[1.0], [1.0], [1.0], [-1.0]])
+    step = np.array([2.0, 0.5, 7.0, 1.0])
+    tries = np.array([True, True, False, True])
+    tried = []
+
+    def trial(T):
+        tried.append(T[:, 0].tolist())
+        return T, T[:, 0] ** 2
+
+    moved, newX, newV = _backtrack(trial, lambda v, v0, rows: v < v0, X, V, D,
+                                   step, tries, 3, 0.5)
+    # row 0 overshoots to -1 (rejected), then lands on 0; row 1 is accepted
+    # at once and not tried again; row 2 never tries; row 3 climbs and is
+    # rejected at every level, one shrink each, within the 3 trial calls
+    assert tried == [[-1.0, 1.5, 5.0], [0.0, 4.5], [4.25]]
+    assert moved.tolist() == [True, True, False, False]
+    assert newX[:, 0].tolist() == [0.0, 1.5, 3.0, 4.0]
+    assert newV.tolist() == [0.0, 2.25, 9.0, 16.0]
+    assert step.tolist() == [1.0, 0.5, 7.0, 0.125]
+    assert X[:, 0].tolist() == [1.0, 2.0, 3.0, 4.0] and V.tolist() == [1.0, 4.0, 9.0, 16.0]
 
 
 def test_certify_batch_equals_single_rows():
