@@ -28,7 +28,6 @@ from . import sampling
 from .mixed import DiagonalMixedPolynomial
 from .realpoly import RealPolynomialMap
 from .structure import RadialWeights
-from .transversality import _backtrack
 
 NEWTON_TOL = 1e-10
 NEWTON_MAX_ITER = 100
@@ -108,41 +107,71 @@ def phase(psi: DiagonalMixedPolynomial, z) -> complex:
 
 
 # ----------------------------------------------------------------------
-# Newton to the fiber
+# damped Gauss-Newton, for fibers and for the tangency search
 
 
-def _newton_batch(f: RealPolynomialMap, c: np.ndarray, X: np.ndarray,
-                  tol: float, max_iter: int
-                  ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Vectorised damped Gauss-Newton toward f^{-1}(c).
+def _backtrack(trial, better, X: np.ndarray, V: np.ndarray, D: np.ndarray,
+               step: np.ndarray, tries: np.ndarray, levels: int, shrink: float
+               ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Batched backtracking line search from the rows of X along -D.
 
-    Pseudo-inverse steps (minimum-norm for underdetermined systems) are
-    halved while the residual fails to decrease; a point stops when no
-    step helps or its step is not finite (near rank-deficient
-    Jacobians), so it fails cleanly instead of diverging.  Returns the
-    final points, their residuals and each point's iteration count.
+    Rows with `tries` set propose X - step * D; `trial` maps proposals to
+    points and values, and `better(values, old values, rows of the batch)`
+    accepts some.  An accepted row is not tried again; a rejected row's
+    step is multiplied by `shrink` in place.  `trial` runs at most
+    `levels` times.  Returns which rows moved and the new points and
+    values; rows that did not move keep X and V.
     """
-    X = np.array(X, dtype=float)
-    R = f.eval_many(X) - c
-    rn = np.linalg.norm(R, axis=1)
-    its = np.zeros(len(X), dtype=int)
-    active = rn > tol
-    for _ in range(max_iter):
-        idx = np.where(active)[0]
-        if idx.size == 0:
+    moved = np.zeros(len(X), dtype=bool)
+    newX = X.copy()
+    newV = V.copy()
+    for _ in range(levels):
+        rows = np.where(tries & ~moved)[0]
+        if rows.size == 0:
             break
-        J = f.grad_many(X[idx])
-        delta = (np.linalg.pinv(J) @ (R[idx][:, :, None]))[:, :, 0]
-        bad = ~np.all(np.isfinite(delta), axis=1)
-        delta[bad] = 0.0
-        its[idx[~bad]] += 1
-        moved, X[idx], R[idx] = _backtrack(
-            lambda T: (T, f.eval_many(T) - c),
-            lambda RT, R0, _: np.linalg.norm(RT, axis=1) < np.linalg.norm(R0, axis=1),
-            X[idx], R[idx], delta, np.ones(idx.size), ~bad, 12, 0.5)
-        rn[idx] = np.linalg.norm(R[idx], axis=1)
-        active[idx] = moved & (rn[idx] > tol)
-    return X, rn, its
+        T, vT = trial(X[rows] - step[rows, None] * D[rows])
+        ok = better(vT, V[rows], rows)
+        newX[rows[ok]] = T[ok]
+        newV[rows[ok]] = vT[ok]
+        moved[rows[ok]] = True
+        step[rows[~ok]] *= shrink
+    return moved, newX, newV
+
+
+def _newton_batch(residual, jacobian, X: np.ndarray, tol: float, max_iter: int
+                  ) -> tuple[np.ndarray, np.ndarray]:
+    """Vectorised damped Gauss-Newton toward the zeros of a batched system.
+
+    `residual` maps (N, k) points to (N, m) residuals and `jacobian` to
+    (N, m, k) Jacobians, row by row; the Jacobian is evaluated only at
+    accepted iterates.  Pseudo-inverse steps (minimum-norm for
+    underdetermined systems) are halved until |R| decreases, so a trial
+    whose residual is not finite is rejected, without a warning.  A point
+    stops at |R| <= tol, when no step helps, or when its step is not
+    finite.  Returns the final points and their residual norms.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        X = np.array(X, dtype=float)
+        R = residual(X)
+        rn = np.linalg.norm(R, axis=1)
+        active = rn > tol
+        for _ in range(max_iter):
+            idx = np.where(active)[0]
+            if idx.size == 0:
+                break
+            A = jacobian(X[idx])
+            bad = ~np.all(np.isfinite(A), axis=(1, 2))
+            A[bad] = 0.0
+            delta = (np.linalg.pinv(A) @ (R[idx][:, :, None]))[:, :, 0]
+            bad |= ~np.all(np.isfinite(delta), axis=1)
+            delta[bad] = 0.0
+            moved, X[idx], R[idx] = _backtrack(
+                lambda T: (T, residual(T)),
+                lambda RT, R0, _: np.linalg.norm(RT, axis=1) < np.linalg.norm(R0, axis=1),
+                X[idx], R[idx], delta, np.ones(idx.size), ~bad, 12, 0.5)
+            rn[idx] = np.linalg.norm(R[idx], axis=1)
+            active[idx] = moved & (rn[idx] > tol)
+    return X, rn
 
 
 # ----------------------------------------------------------------------
@@ -277,7 +306,8 @@ def sample_fiber(f: RealPolynomialMap, c, eps: float,
     if not np.all(np.isfinite(c)):
         raise ValueError("target value must be finite")
     seeds = sampling.ball_points(f.n, count, eps, rng_seed)
-    X, rn, _ = _newton_batch(f, c, seeds, NEWTON_TOL, NEWTON_MAX_ITER)
+    X, rn = _newton_batch(lambda X: f.eval_many(X) - c, f.grad_many, seeds,
+                          NEWTON_TOL, NEWTON_MAX_ITER)
     keep = (rn <= NEWTON_TOL) & (np.linalg.norm(X, axis=1) <= eps)
     pts = X[keep]
     res = rn[keep]

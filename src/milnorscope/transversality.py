@@ -5,11 +5,12 @@ sphere S_eps meets the sphere transversally exactly when the gradient
 rows of f at x together with x itself are linearly independent.  The
 dependence measure below turns that into a scalar field on the sphere:
 the smallest singular value of the row-normalised (p+1) x n matrix.
-Multistart projected descent locates its zero set, and a continuation
-along that zero set toward the zero set of f either certifies a
-sequence of tangency points with |f| shrinking geometrically to zero
-(transversality fails) or stops with a positive margin (it holds at
-the given search budget).
+Its zero set is located by multistart Gauss-Newton on the row-normalised
+Fritz John system (`_tangency_system`), and a continuation along that
+zero set toward the zero set of f either certifies a sequence of
+tangency points with |f| shrinking geometrically to zero (transversality
+fails) or stops with a positive margin (it holds at the given search
+budget).
 
 Tangency points where the gradient rows alone are already dependent
 sit on the critical set of f; their values are critical values, whose
@@ -28,6 +29,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import sampling
+from .fiber import NEWTON_TOL, _backtrack, _newton_batch
 from .mixed import DiagonalMixedPolynomial
 from .realpoly import RealPolynomialMap, minors_exact
 from .structure import SpecialFamilyForm, special_family_form
@@ -55,8 +57,13 @@ class TransversalityVerdict(enum.Enum):
 
 
 def _normalized(M: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    # rows scaled to unit length; `zero` marks matrices with a vanishing row
+    # rows scaled to unit length; `zero` marks matrices with a vanishing row,
+    # and a row norm that is not finite is an overflow stated here
     norms = np.linalg.norm(M, axis=2)
+    bad = int(np.count_nonzero(~np.all(np.isfinite(norms), axis=1)))
+    if bad:
+        raise ValueError(f"evaluator overflow: a gradient row of f has no finite norm "
+                         f"at {bad} of {len(M)} points on or near the sphere")
     zero = np.any(norms < 1e-300, axis=1)
     safe = np.where(norms < 1e-300, 1.0, norms)
     return M / safe[:, :, None], zero
@@ -87,53 +94,14 @@ def tangency_minors_exact(f: RealPolynomialMap, x) -> list[Fraction]:
 # batched fields on the sphere
 
 
-def _eigmin_sym3(A: np.ndarray) -> np.ndarray:
-    # closed-form smallest eigenvalue of a stack of symmetric 3x3 matrices
-    q = (A[:, 0, 0] + A[:, 1, 1] + A[:, 2, 2]) / 3.0
-    a11 = A[:, 0, 0] - q
-    a22 = A[:, 1, 1] - q
-    a33 = A[:, 2, 2] - q
-    a12 = A[:, 0, 1]
-    a13 = A[:, 0, 2]
-    a23 = A[:, 1, 2]
-    p2 = a11 ** 2 + a22 ** 2 + a33 ** 2 + 2.0 * (a12 ** 2 + a13 ** 2 + a23 ** 2)
-    p = np.sqrt(np.maximum(p2 / 6.0, 0.0))
-    safe = p > 1e-150
-    ps = np.where(safe, p, 1.0)
-    b11, b22, b33 = a11 / ps, a22 / ps, a33 / ps
-    b12, b13, b23 = a12 / ps, a13 / ps, a23 / ps
-    detB = (b11 * (b22 * b33 - b23 * b23)
-            - b12 * (b12 * b33 - b23 * b13)
-            + b13 * (b12 * b23 - b22 * b13))
-    r = np.clip(detB / 2.0, -1.0, 1.0)
-    phi = np.arccos(r) / 3.0
-    lam = q + 2.0 * p * np.cos(phi + 2.0 * np.pi / 3.0)
-    return np.where(safe, lam, q)
-
-
 def _matrices(f: RealPolynomialMap, X: np.ndarray) -> np.ndarray:
     return np.concatenate([f.grad_many(X), X[:, None, :]], axis=1)
 
 
 def _sigma(f: RealPolynomialMap, X: np.ndarray) -> np.ndarray:
-    # full-precision dependence measure, batched
-    return _sigma_min(_matrices(f, X))
-
-
-def _sigma_gram(f: RealPolynomialMap, X: np.ndarray) -> np.ndarray:
-    # fast Gram-based value for the descent (needs n > p); absolute
-    # accuracy bottoms out near 1e-8
-    Mh, zero = _normalized(_matrices(f, X))
-    G = Mh @ np.transpose(Mh, (0, 2, 1))
-    if f.p == 1:
-        lam = 1.0 - np.abs(G[:, 0, 1])
-    elif f.p == 2:
-        lam = _eigmin_sym3(G)
-    else:
-        lam = np.linalg.eigvalsh(G)[:, 0]
-    sig = np.sqrt(np.clip(lam, 0.0, None))
-    sig[zero] = 0.0
-    return sig
+    # full-precision dependence measure, batched; _normalized states overflow
+    with np.errstate(over="ignore", invalid="ignore"):
+        return _sigma_min(_matrices(f, X))
 
 
 def _fnorm(f: RealPolynomialMap, X: np.ndarray) -> np.ndarray:
@@ -163,6 +131,49 @@ def _fd_grad(value_batch, X: np.ndarray, h) -> np.ndarray:
 
 def _tangent_part(G: np.ndarray, X: np.ndarray, eps: float) -> np.ndarray:
     return G - (np.sum(G * X, axis=1) / eps ** 2)[:, None] * X
+
+
+def _tangency_system(f: RealPolynomialMap, eps: float):
+    """Residual and Jacobian of the row-normalised Fritz John system
+
+        R(x, w) = [ M(x)^T w ; (|x|^2 - eps^2) / (2 eps^2) ; (|w|^2 - 1) / 2 ]
+
+    in y = (x, w), where M has rows g_i = grad f_i / |grad f_i| and x / eps.
+    Its zeros are the points of S_eps where the rows of M are dependent.
+    The x-block of the Jacobian is sum_i w_i (I - g_i g_i^T) H_i / |grad f_i|
+    + w_{p+1} I / eps (H_i the Hessian of f_i); the w-block is M^T.  A
+    gradient row whose norm overflows makes R NaN.
+    """
+    n, p = f.n, f.p
+    hessians = RealPolynomialMap(n, [f.partial(i, j) for i in range(p) for j in range(n)])
+
+    def unit_gradients(X):
+        J = f.grad_many(X)
+        norms = np.linalg.norm(J, axis=2, keepdims=True)
+        norms = np.where(np.isfinite(norms), np.where(norms < 1e-300, 1.0, norms), np.nan)
+        return J / norms, norms
+
+    def residual(Y):
+        X, w = Y[:, :n], Y[:, n:]
+        G, _ = unit_gradients(X)
+        return np.concatenate([np.sum(G * w[:, :p, None], axis=1) + w[:, p:] * X / eps,
+                               (np.sum(X * X, axis=1, keepdims=True) - eps ** 2) / (2 * eps ** 2),
+                               (np.sum(w * w, axis=1, keepdims=True) - 1.0) / 2.0], axis=1)
+
+    def jacobian(Y):
+        X, w = Y[:, :n], Y[:, n:]
+        G, norms = unit_gradients(X)
+        H = hessians.grad_many(X).reshape(len(Y), p, n, n)
+        dG = (H - G[:, :, :, None] * (G[:, :, None, :] @ H)) / norms[:, :, :, None]
+        A = np.zeros((len(Y), n + 2, n + p + 1))
+        A[:, :n, :n] = np.sum(w[:, :p, None, None] * dG, axis=1) + w[:, p:, None] * np.eye(n) / eps
+        A[:, :n, n:n + p] = np.transpose(G, (0, 2, 1))
+        A[:, :n, n + p] = X / eps
+        A[:, n, :n] = X / eps ** 2
+        A[:, n + 1, n:] = w
+        return A
+
+    return residual, jacobian
 
 
 # ----------------------------------------------------------------------
@@ -204,34 +215,6 @@ def _make_witnesses(f: RealPolynomialMap, X: np.ndarray, eps: float,
             for x, s, sg, fn, sm in zip(X, sigma, sigma_grad, f_norm, smin)]
 
 
-def _backtrack(trial, better, X: np.ndarray, V: np.ndarray, D: np.ndarray,
-               step: np.ndarray, tries: np.ndarray, levels: int, shrink: float
-               ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Batched backtracking line search from the rows of X along -D.
-
-    Rows with `tries` set propose X - step * D; `trial` maps proposals to
-    points and values, and `better(values, old values, rows of the batch)`
-    accepts some.  An accepted row is not tried again; a rejected row's
-    step is multiplied by `shrink` in place.  `trial` runs at most
-    `levels` times.  Returns which rows moved and the new points and
-    values; rows that did not move keep X and V.
-    """
-    moved = np.zeros(len(X), dtype=bool)
-    newX = X.copy()
-    newV = V.copy()
-    for _ in range(levels):
-        rows = np.where(tries & ~moved)[0]
-        if rows.size == 0:
-            break
-        T, vT = trial(X[rows] - step[rows, None] * D[rows])
-        ok = better(vT, V[rows], rows)
-        newX[rows[ok]] = T[ok]
-        newV[rows[ok]] = vT[ok]
-        moved[rows[ok]] = True
-        step[rows[~ok]] *= shrink
-    return moved, newX, newV
-
-
 def _on_sphere(field, eps: float):
     # a line-search trial: project onto S_eps, then evaluate
     def trial(Y):
@@ -240,12 +223,10 @@ def _on_sphere(field, eps: float):
     return trial
 
 
-def _descend_sigma(field, X: np.ndarray, eps: float, iters: int,
-                   freeze_below: float) -> np.ndarray:
+def _descend_sigma(field, X: np.ndarray, eps: float, iters: int) -> np.ndarray:
     """Multistart projected descent of a batched scalar field on the sphere.
 
     A step is accepted under the Armijo test v <= v0 - 1e-4 step |g|^2.
-    A point stops once its value drops below `freeze_below`.
     """
     X = _project(np.array(X, dtype=float), eps)
     N = len(X)
@@ -270,7 +251,7 @@ def _descend_sigma(field, X: np.ndarray, eps: float, iters: int,
         grow = accepted & (al == alpha[idx])
         al[grow] = np.minimum(al[grow] * 1.3, 0.3 * eps)
         alpha[idx] = al
-        done = stuck | (~accepted & (al < 1e-14 * eps)) | (val[idx] < freeze_below)
+        done = stuck | (~accepted & (al < 1e-14 * eps))
         active[idx[done]] = False
     return X
 
@@ -316,12 +297,15 @@ def search_tangency_locus(f: RealPolynomialMap, eps: float, *,
                           extra_seeds=None) -> LocusSearchResult:
     """Locate points on S_eps where fibers of f touch the sphere.
 
-    Runs `seeds` quasi-random multistarts of projected descent on the
-    dependence measure, sharpens the survivors with exact singular
-    values, keeps those below `tol_tangency`, and deduplicates by
-    distance.  Points whose gradient rows are themselves dependent are
-    reported separately as critical hits.  `extra_seeds` adds caller
-    chosen start points (projected to the sphere) to the multistart.
+    Runs `seeds` quasi-random multistarts of Gauss-Newton (at most `iters`
+    iterations) on the row-normalised Fritz John system (`_tangency_system`),
+    each with multipliers w from the smallest singular triple of its
+    tangency matrix, projects the results to S_eps, sharpens them with
+    exact singular values, keeps those below `tol_tangency`, and
+    deduplicates by distance.  Points whose gradient rows are themselves
+    dependent are reported separately as critical hits.  `extra_seeds`
+    adds caller chosen start points (projected to the sphere) to the
+    multistart.  Raises ValueError where a gradient row of f overflows.
     """
     sampling.check_positive("eps", eps)
     if f.n <= f.p:
@@ -331,7 +315,11 @@ def search_tangency_locus(f: RealPolynomialMap, eps: float, *,
         P = np.asarray(extra_seeds, dtype=float).reshape(-1, f.n)
         if len(P):
             X = np.vstack([X, _project(P, eps)])
-    X = _descend_sigma(lambda X: _sigma_gram(f, X), X, eps, iters, 1e-11)
+    with np.errstate(over="ignore", invalid="ignore"):
+        Mh, _ = _normalized(_matrices(f, X))
+    w = np.linalg.svd(Mh, full_matrices=False)[0][:, :, -1]
+    Y, _ = _newton_batch(*_tangency_system(f, eps), np.hstack([X, w]), NEWTON_TOL, iters)
+    X = _project(Y[:, :f.n], eps)
     # enter the sharpening stage only from a plausible basin
     sig = _sigma(f, X)
     cand = X[sig < 1e-3]
@@ -396,7 +384,7 @@ def _certify(f: RealPolynomialMap, X: np.ndarray, eps: float, target: float,
     """Descend from each row of X toward a tangency point at level
     |f| = target, sharpen it with exact singular values, and measure it:
     one witness per row, each the same as from a batch of that row alone."""
-    X = _descend_sigma(_level_objective(f, target, scale), X, eps, iters, -1.0)
+    X = _descend_sigma(_level_objective(f, target, scale), X, eps, iters)
     X, _ = _polish_batch(f, X, eps)
     return _make_witnesses(f, X, eps, tol_tangency)
 
@@ -458,8 +446,9 @@ def falsify_transversality(f: RealPolynomialMap, eps: float, *,
     statement that every regular-fiber tangency found keeps |f| above
     the margin (default: 1e-2 times the median of |f| on the sphere).
     eps, seeds, the tolerances and a given margin must be positive and
-    finite, and iters at least zero.  Raises ValueError when |f|
-    overflows at some of the sphere samples.
+    finite, and iters at least zero.  Raises ValueError when |f|^2
+    overflows at some of the sphere samples, or a gradient row of f where
+    the search evaluates it.
     """
     given = {"eps": eps, "seeds": seeds, "tol_tangency": tol_tangency,
              "tol_v": tol_v, "margin": margin}
@@ -472,11 +461,14 @@ def falsify_transversality(f: RealPolynomialMap, eps: float, *,
     sample = sampling.sphere_points(f.n, 2048, eps, rng_seed + 101)
     # overflow here is stated below, so numpy need not warn about it
     with np.errstate(over="ignore", invalid="ignore"):
-        fvals = _fnorm(f, sample)
+        values = f.eval_many(sample)
+        fvals = np.linalg.norm(values, axis=1)
     overflow = int(np.count_nonzero(~np.isfinite(fvals)))
     if overflow:
-        raise ValueError(f"evaluator overflow: |f| is not finite at {overflow} of "
-                         f"{len(fvals)} sample points on the sphere of radius {eps!r}")
+        raw = int(np.count_nonzero(~np.all(np.isfinite(values), axis=1)))
+        raise ValueError(f"evaluator overflow: |f|^2 is not finite at {overflow} of "
+                         f"{len(fvals)} sample points on the sphere of radius {eps!r} "
+                         f"(f itself is not finite at {raw} of them)")
     scale = float(np.median(fvals))
     if margin is None:
         margin = MARGIN_FACTOR * scale
@@ -485,7 +477,7 @@ def falsify_transversality(f: RealPolynomialMap, eps: float, *,
     # set misses the sphere entirely
     order = np.argsort(fvals)
     starts = sample[order[:16]]
-    refined = _descend_sigma(lambda X: _fnorm(f, X) ** 2, starts, eps, 150, -1.0)
+    refined = _descend_sigma(lambda X: _fnorm(f, X) ** 2, starts, eps, 150)
     v_min = float(min(fvals.min(), _fnorm(f, refined).min()))
 
     locus = search_tangency_locus(

@@ -6,8 +6,13 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from milnorscope import (
+    ComplexRational,
+    DiagonalMixedPolynomial,
+    MixedTerm,
     TransversalityVerdict,
     falsify_transversality,
     parse_mixed,
@@ -18,10 +23,11 @@ from milnorscope import (
     tangency_minors_exact,
 )
 from milnorscope import sampling
+from milnorscope.fiber import NEWTON_TOL, _backtrack, _newton_batch
 from milnorscope.realpoly import minors_exact
-from milnorscope.transversality import (_backtrack, _certify, _fd_grad, _fnorm,
-                                        _level_objective, _matrices, _sigma,
-                                        _sigma_min)
+from milnorscope.transversality import (_certify, _fd_grad, _fnorm, _level_objective,
+                                        _matrices, _normalized, _sigma, _sigma_min,
+                                        _tangency_system)
 
 FAILING_MAP = parse_real_map("(x*y + z^2, x) vars x,y,z")
 G_MIXED = parse_mixed("z1 z1~ + z2^2 z2~")
@@ -201,6 +207,50 @@ def test_backtrack_contract():
     assert X[:, 0].tolist() == [1.0, 2.0, 3.0, 4.0] and V.tolist() == [1.0, 4.0, 9.0, 16.0]
 
 
+@pytest.mark.parametrize("f", [G_MIXED.to_real_map(), H_MIXED.to_real_map(), FAILING_MAP],
+                         ids=["G", "H", "FAILING_MAP"])
+def test_tangency_jacobian_matches_central_differences(f):
+    # the finite-difference oracle is the arbiter of the analytic Jacobian
+    rng = np.random.default_rng(11)
+    for eps in (1.0, 0.25):
+        residual, jacobian = _tangency_system(f, eps)
+        X = sampling.sphere_points(f.n, 8, eps, 5)
+        w = rng.normal(size=(8, f.p + 1))
+        Y = np.hstack([X, w / np.linalg.norm(w, axis=1, keepdims=True)])
+        A = jacobian(Y)
+        fd = np.empty_like(A)
+        for j in range(Y.shape[1]):
+            h = 1e-6 * (eps if j < f.n else 1.0)
+            E = np.zeros(Y.shape[1])
+            E[j] = h
+            fd[:, :, j] = (residual(Y + E) - residual(Y - E)) / (2.0 * h)
+        err = np.linalg.norm(A - fd, axis=(1, 2)) / np.linalg.norm(A, axis=(1, 2))
+        assert err.max() < 1e-6
+
+
+def test_tangency_residual_is_nan_where_a_gradient_norm_overflows():
+    # the gradient of x^300*y is finite at (4.64, 1, 0), its squared norm is not;
+    # a finite residual there would let Newton accept a meaningless trial
+    residual, _ = _tangency_system(parse_real_map("(x^300*y + z^2, x) vars x,y,z"), 3.0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        R = residual(np.array([[4.64, 1.0, 0.0, 0.6, 0.0, 0.8], [2.0, 2.0, 1.0, 0.6, 0.0, 0.8]]))
+    assert np.all(np.isnan(R[0, :3])) and np.all(np.isfinite(R[1]))
+
+
+def test_tangency_solve_batch_equals_single_rows():
+    h_map = H_MIXED.to_real_map()
+    X = sampling.sphere_points(h_map.n, 6, 1.0, 2)
+    w = np.linalg.svd(_normalized(_matrices(h_map, X))[0], full_matrices=False)[0][:, :, -1]
+    Y = np.hstack([X, w])
+    system = _tangency_system(h_map, 1.0)
+    batch = _newton_batch(*system, Y, NEWTON_TOL, 40)
+    assert np.all(batch[1] <= NEWTON_TOL)
+    for k in range(len(Y)):
+        single = _newton_batch(*system, Y[k:k + 1], NEWTON_TOL, 40)
+        for b, s in zip(batch, single):
+            assert np.array_equal(b[k], s[0])
+
+
 def test_certify_batch_equals_single_rows():
     h_map = H_MIXED.to_real_map()
     locus = search_tangency_locus(h_map, 1.0, seeds=96, iters=250, rng_seed=0)
@@ -270,6 +320,26 @@ def test_falsifier_states_evaluator_overflow():
             falsify_transversality(parse_real_map(text), 3.0, seeds=16, iters=20)
 
 
+def test_falsifier_overflowing_trials_raise_no_warning():
+    # Newton trials leave float range here; pytest turns a warning into an error
+    f = parse_real_map("(x^300*y + z^2, x) vars x,y,z")
+    verdicts = [falsify_transversality(f, eps, seeds=32).verdict for eps in (1.5, 2.0, 2.5, 3.0)]
+    assert verdicts == [TransversalityVerdict.HOLDS, TransversalityVerdict.HOLDS,
+                        TransversalityVerdict.INCONCLUSIVE, TransversalityVerdict.INCONCLUSIVE]
+
+
+def test_falsifier_names_what_overflowed():
+    f = parse_real_map("(x^300*y + z^2, x) vars x,y,z")
+    # every value of f is finite on the samples at eps 8; only |f|^2 overflows
+    with pytest.raises(ValueError, match=r"\|f\|\^2 is not finite at 1220 of 2048 .* "
+                                         r"\(f itself is not finite at 0 of them\)"):
+        falsify_transversality(f, 8.0, seeds=16, iters=20)
+    # |f| is finite at the samples at eps 3.25, but a gradient row's norm
+    # overflows at a start of the search
+    with pytest.raises(ValueError, match="gradient row of f has no finite norm at 1 of 64"):
+        falsify_transversality(f, 3.25, seeds=64, iters=100)
+
+
 def test_falsifier_is_deterministic():
     a = falsify_transversality(FAILING_MAP, 1.0, seeds=48, iters=150, rng_seed=5)
     b = falsify_transversality(FAILING_MAP, 1.0, seeds=48, iters=150, rng_seed=5)
@@ -305,6 +375,36 @@ def test_report_carries_budget_and_tolerances():
     assert rep.tolerances["tol_tangency"] == 1e-7
     assert rep.tolerances["tol_v"] == 1e-5
     assert rep.caveats
+
+
+# ----------------------------------------------------------------------
+# special family: the numeric falsifier agrees with the paper's theorem
+
+
+@st.composite
+def special_family_members(draw):
+    # one non-critical index with exponents (2,1) or (1,2), the others
+    # critical, all coefficients real multiples of one direction
+    n = draw(st.integers(min_value=2, max_value=3))
+    odd = draw(st.integers(min_value=1, max_value=n))
+    re, im = draw(st.sampled_from([(1, 0), (0, 1), (1, 1), (2, -1)]))
+    terms = []
+    for j in range(1, n + 1):
+        a, b = draw(st.sampled_from([(2, 1), (1, 2)])) if j == odd else (
+            (draw(st.integers(min_value=1, max_value=3)),) * 2)
+        mu = Fraction(draw(st.sampled_from([1, -1, 2, -3, Fraction(1, 2), Fraction(-2, 3)])))
+        terms.append(MixedTerm(j, ComplexRational(mu * re, mu * im), a, b))
+    return DiagonalMixedPolynomial(n, terms)
+
+
+@settings(max_examples=4, deadline=None, derandomize=True)
+@given(special_family_members())
+def test_special_family_members_never_fail(psi):
+    assert special_family_claim_check(psi, samples=40).holds
+    f = psi.to_real_map()
+    for eps in (1.0, 0.25):
+        rep = falsify_transversality(f, eps, seeds=32, iters=40)
+        assert rep.verdict is not TransversalityVerdict.FAILS, (eps, rep.reasons)
 
 
 # ----------------------------------------------------------------------
