@@ -150,7 +150,7 @@ def _newton_batch(residual, jacobian, X: np.ndarray, tol: float, max_iter: int
     stops at |R| <= tol, when no step helps, or when its step is not
     finite.  Returns the final points and their residual norms.
     """
-    with np.errstate(over="ignore", invalid="ignore"):
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         X = np.array(X, dtype=float)
         R = residual(X)
         rn = np.linalg.norm(R, axis=1)

@@ -21,7 +21,7 @@ from .realpoly import RealPolynomialMap
 from .structure import RadialWeights, StructureReport
 from .transversality import TangencyWitness, TransversalityReport
 
-SCHEMA = "milnor-scope/1"
+SCHEMA = "milnor-scope/2"
 
 
 def cplx(c: ComplexRational) -> dict:

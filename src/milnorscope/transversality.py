@@ -6,11 +6,14 @@ rows of f at x together with x itself are linearly independent.  The
 dependence measure below turns that into a scalar field on the sphere:
 the smallest singular value of the row-normalised (p+1) x n matrix.
 Its zero set is located by multistart Gauss-Newton on the row-normalised
-Fritz John system (`_tangency_system`), and a continuation along that
-zero set toward the zero set of f either certifies a sequence of
-tangency points with |f| shrinking geometrically to zero (transversality
-fails) or stops with a positive margin (it holds at the given search
-budget).
+Fritz John system (`_tangency_system`).  A continuation along that zero
+set toward the zero set of f solves the same system with one more row,
+log(|f| / t) = 0 (`_level_system`), for geometrically falling levels t;
+it either certifies a sequence of tangency points with |f| shrinking to
+zero (transversality fails) or stops with a positive margin (it holds at
+the given search budget).  The minimum of |f| on the sphere comes from
+Gauss-Newton on (f, |x|^2 - eps^2) from the lowest samples.  Every
+numeric step runs on the one solver, `fiber._newton_batch`.
 
 Tangency points where the gradient rows alone are already dependent
 sit on the critical set of f; their values are critical values, whose
@@ -29,7 +32,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import sampling
-from .fiber import NEWTON_TOL, _backtrack, _newton_batch
+from .fiber import NEWTON_MAX_ITER, NEWTON_TOL, _newton_batch
 from .mixed import DiagonalMixedPolynomial
 from .realpoly import RealPolynomialMap, minors_exact
 from .structure import SpecialFamilyForm, special_family_form
@@ -114,21 +117,6 @@ def _project(X: np.ndarray, eps: float) -> np.ndarray:
     return X * (eps / norms)
 
 
-def _fd_grad(value_batch, X: np.ndarray, h) -> np.ndarray:
-    """Central differences of a batched scalar field, with step h per row.
-
-    One field call on the stack of 2n displaced copies of X: valid only
-    for a field that treats its rows independently."""
-    N, n = X.shape
-    hcol = np.broadcast_to(np.asarray(h, dtype=float), (N,))
-    S = np.broadcast_to(X[:, None, :], (2, N, n, n)).copy()
-    d = np.arange(n)
-    S[0][:, d, d] += hcol[:, None]
-    S[1][:, d, d] -= hcol[:, None]
-    V = value_batch(S.reshape(-1, n)).reshape(2, N, n)
-    return (V[0] - V[1]) / (2.0 * hcol[:, None])
-
-
 def _tangent_part(G: np.ndarray, X: np.ndarray, eps: float) -> np.ndarray:
     return G - (np.sum(G * X, axis=1) / eps ** 2)[:, None] * X
 
@@ -176,6 +164,41 @@ def _tangency_system(f: RealPolynomialMap, eps: float):
     return residual, jacobian
 
 
+def _level_system(f: RealPolynomialMap, eps: float, t: float):
+    """`_tangency_system` with one more row, log(|f(x)| / t), whose zeros
+    are the tangency points on S_eps at the level |f| = t.  The row's
+    x-gradient is J^T f / |f|^2 and its w entries are zero; it is not
+    finite where |f| overflows or vanishes.  For p = 2 the system is square.
+    """
+    residual, jacobian = _tangency_system(f, eps)
+    n = f.n
+
+    def level_residual(Y):
+        return np.concatenate([residual(Y), np.log(_fnorm(f, Y[:, :n]) / t)[:, None]], axis=1)
+
+    def level_jacobian(Y):
+        X = Y[:, :n]
+        F = f.eval_many(X)
+        row = np.zeros((len(Y), 1, Y.shape[1]))
+        row[:, 0, :n] = (np.sum(F[:, :, None] * f.grad_many(X), axis=1)
+                         / np.sum(F * F, axis=1)[:, None])
+        return np.concatenate([jacobian(Y), row], axis=1)
+
+    return level_residual, level_jacobian
+
+
+def _solve_tangency(system, f: RealPolynomialMap, X: np.ndarray, eps: float,
+                    max_iter: int) -> np.ndarray:
+    """Gauss-Newton on `system` from the rows of X, each with multipliers w
+    from the smallest singular triple of its row-normalised tangency
+    matrix; returns the points projected to S_eps."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        Mh, _ = _normalized(_matrices(f, X))
+    w = np.linalg.svd(Mh, full_matrices=False)[0][:, :, -1]
+    Y, _ = _newton_batch(*system, np.hstack([X, w]), NEWTON_TOL, max_iter)
+    return _project(Y[:, :f.n], eps)
+
+
 # ----------------------------------------------------------------------
 # witnesses and search
 
@@ -215,80 +238,6 @@ def _make_witnesses(f: RealPolynomialMap, X: np.ndarray, eps: float,
             for x, s, sg, fn, sm in zip(X, sigma, sigma_grad, f_norm, smin)]
 
 
-def _on_sphere(field, eps: float):
-    # a line-search trial: project onto S_eps, then evaluate
-    def trial(Y):
-        T = _project(Y, eps)
-        return T, field(T)
-    return trial
-
-
-def _descend_sigma(field, X: np.ndarray, eps: float, iters: int) -> np.ndarray:
-    """Multistart projected descent of a batched scalar field on the sphere.
-
-    A step is accepted under the Armijo test v <= v0 - 1e-4 step |g|^2.
-    """
-    X = _project(np.array(X, dtype=float), eps)
-    N = len(X)
-    alpha = np.full(N, 0.05 * eps)
-    active = np.ones(N, dtype=bool)
-    h = 1e-6 * eps
-    val = field(X)
-    for _ in range(iters):
-        idx = np.where(active)[0]
-        if idx.size == 0:
-            break
-        Xa = X[idx]
-        G = _fd_grad(field, Xa, h)
-        G = _tangent_part(G, Xa, eps)
-        gn2 = np.sum(G * G, axis=1)
-        al = alpha[idx]
-        stuck = gn2 < 1e-30
-        accepted, X[idx], val[idx] = _backtrack(
-            _on_sphere(field, eps), lambda v, v0, r: v <= v0 - 1e-4 * al[r] * gn2[r],
-            Xa, val[idx], G, al, ~stuck, 18, 0.5)
-        # a step that was never shrunk was accepted at its first try
-        grow = accepted & (al == alpha[idx])
-        al[grow] = np.minimum(al[grow] * 1.3, 0.3 * eps)
-        alpha[idx] = al
-        done = stuck | (~accepted & (al < 1e-14 * eps))
-        active[idx[done]] = False
-    return X
-
-
-def _polish_batch(f: RealPolynomialMap, X: np.ndarray,
-                  eps: float) -> tuple[np.ndarray, np.ndarray]:
-    """Newton-style sharpening of near-tangency points using exact SVD values.
-
-    The dependence measure grows linearly off its zero set, so the step
-    sigma * g / |g|^2 along the finite-difference gradient converges
-    fast; the step length for differencing shrinks with sigma to stay
-    on one side of the kink.  A row retires once a step fails to
-    improve it, since repeating that step would fail the same way.
-    """
-    def sigma(X):
-        return _sigma(f, X)
-
-    X = _project(np.array(X, dtype=float), eps)
-    s = sigma(X)
-    live = s > 1e-13
-    for _ in range(14):
-        if not live.any():
-            break
-        idx = np.where(live)[0]
-        Xa = X[idx]
-        h = np.clip(0.05 * s[idx] * eps, 1e-9 * eps, 1e-6 * eps)
-        G = _fd_grad(sigma, Xa, h)
-        G = _tangent_part(G, Xa, eps)
-        gn2 = np.sum(G * G, axis=1)
-        ok_grad = gn2 > 1e-30
-        step = np.where(ok_grad, s[idx] / np.where(ok_grad, gn2, 1.0), 0.0)
-        improved, X[idx], s[idx] = _backtrack(_on_sphere(sigma, eps), lambda v, v0, r: v < v0,
-                                              Xa, s[idx], G, step, ok_grad, 8, 0.4)
-        live[idx] = improved & (s[idx] > 1e-13)
-    return X, s
-
-
 def search_tangency_locus(f: RealPolynomialMap, eps: float, *,
                           seeds: int = DEFAULT_SEEDS,
                           iters: int = DEFAULT_ITERS,
@@ -300,9 +249,9 @@ def search_tangency_locus(f: RealPolynomialMap, eps: float, *,
     Runs `seeds` quasi-random multistarts of Gauss-Newton (at most `iters`
     iterations) on the row-normalised Fritz John system (`_tangency_system`),
     each with multipliers w from the smallest singular triple of its
-    tangency matrix, projects the results to S_eps, sharpens them with
-    exact singular values, keeps those below `tol_tangency`, and
-    deduplicates by distance.  Points whose gradient rows are themselves
+    tangency matrix, projects the results to S_eps, keeps those whose
+    dependence measure is below `tol_tangency`, and deduplicates by
+    distance.  Points whose gradient rows are themselves
     dependent are reported separately as critical hits.  `extra_seeds`
     adds caller chosen start points (projected to the sphere) to the
     multistart.  Raises ValueError where a gradient row of f overflows.
@@ -315,20 +264,8 @@ def search_tangency_locus(f: RealPolynomialMap, eps: float, *,
         P = np.asarray(extra_seeds, dtype=float).reshape(-1, f.n)
         if len(P):
             X = np.vstack([X, _project(P, eps)])
-    with np.errstate(over="ignore", invalid="ignore"):
-        Mh, _ = _normalized(_matrices(f, X))
-    w = np.linalg.svd(Mh, full_matrices=False)[0][:, :, -1]
-    Y, _ = _newton_batch(*_tangency_system(f, eps), np.hstack([X, w]), NEWTON_TOL, iters)
-    X = _project(Y[:, :f.n], eps)
-    # enter the sharpening stage only from a plausible basin
-    sig = _sigma(f, X)
-    cand = X[sig < 1e-3]
-    if len(cand) == 0:
-        return LocusSearchResult((), (), attempted=len(X), converged=0)
-    cand, s = _polish_batch(f, cand, eps)
-    keep = s < tol_tangency
-    cand = cand[keep]
-    converged = int(np.count_nonzero(keep))
+    X = _solve_tangency(_tangency_system(f, eps), f, X, eps, iters)
+    cand = X[_sigma(f, X) < tol_tangency]
     made = _make_witnesses(f, cand, eps, tol_tangency)
 
     def dedup(ws):
@@ -346,7 +283,7 @@ def search_tangency_locus(f: RealPolynomialMap, eps: float, *,
 
     return LocusSearchResult(dedup([w for w in made if not w.near_critical]),
                              dedup([w for w in made if w.near_critical]),
-                             attempted=len(X), converged=converged)
+                             attempted=len(X), converged=len(cand))
 
 
 # ----------------------------------------------------------------------
@@ -372,47 +309,43 @@ class TransversalityReport:
     caveats: tuple[str, ...] = _CAVEATS
 
 
-def _level_objective(f: RealPolynomialMap, target: float, scale: float):
-    """Zero exactly at the tangency points where |f| equals `target`."""
-    def value(X):
-        return ((_fnorm(f, X) - target) / scale) ** 2 + _sigma(f, X) ** 2
-    return value
-
-
 def _certify(f: RealPolynomialMap, X: np.ndarray, eps: float, target: float,
-             scale: float, tol_tangency: float, iters: int) -> list[TangencyWitness]:
-    """Descend from each row of X toward a tangency point at level
-    |f| = target, sharpen it with exact singular values, and measure it:
+             tol_tangency: float) -> list[TangencyWitness]:
+    """Solve the level system (`_level_system`) from each row of X, projected
+    to S_eps, for a tangency point at |f| = target, and measure the result:
     one witness per row, each the same as from a batch of that row alone."""
-    X = _descend_sigma(_level_objective(f, target, scale), X, eps, iters)
-    X, _ = _polish_batch(f, X, eps)
+    X = _project(np.array(X, dtype=float), eps)
+    X = _solve_tangency(_level_system(f, eps, target), f, X, eps, NEWTON_MAX_ITER)
     return _make_witnesses(f, X, eps, tol_tangency)
 
 
 def _build_sequence(f: RealPolynomialMap, eps: float, start: TangencyWitness,
-                    tol_tangency: float, tol_v: float, scale: float,
-                    margin: float, rng: np.random.Generator):
-    """Continuation along the tangency locus with |f| targets / 10 each step."""
+                    tol_tangency: float, tol_v: float, margin: float,
+                    rng: np.random.Generator):
+    """Continuation along the tangency locus toward V: each step solves the
+    level system for |f| = 1/12.5 of the last certified witness's |f|, from
+    that witness (or a kicked copy after a failed step), and keeps the
+    solution when it is a regular-fiber tangency point at least 10x lower."""
     seq = [start]
     # if the search already sits essentially on V, restart the chain from a
     # tangency point at a comfortable |f| level so the decrease is visible
     if start.f_norm < 200 * tol_v:
         lift = max(margin * 0.5, 400 * tol_v)
-        w = _certify(f, start.point[None], eps, lift, scale, tol_tangency, 250)[0]
+        w = _certify(f, start.point[None], eps, lift, tol_tangency)[0]
         if w.sigma < tol_tangency and not w.near_critical and w.f_norm > 100 * tol_v:
             seq = [w]
     # every test reads the last certified witness; after a failed step
-    # only the start point of the next minimisation is kicked
+    # only the start point of the next solve is kicked
     start_pt = seq[-1].point
     failures = 0
     while len(seq) < 60:
         last = seq[-1]
         if last.f_norm < tol_v and len(seq) >= 3:
             return seq
-        # aim below the required 10x decrease so convergence error in the
-        # target minimisation cannot land a hair above the threshold
+        # aim below the required 10x decrease so a solution that stops
+        # short of its level cannot land a hair above the threshold
         target = max(last.f_norm / 12.5, tol_v / 25.0)
-        w = _certify(f, start_pt[None], eps, target, scale, tol_tangency, 250)[0]
+        w = _certify(f, start_pt[None], eps, target, tol_tangency)[0]
         good = (w.sigma < tol_tangency and not w.near_critical
                 and 0.0 < w.f_norm <= last.f_norm / 10.0)
         if good:
@@ -473,19 +406,24 @@ def falsify_transversality(f: RealPolynomialMap, eps: float, *,
     if margin is None:
         margin = MARGIN_FACTOR * scale
 
-    # crude refinement of min |f| on the sphere, to notice when the zero
-    # set misses the sphere entirely
-    order = np.argsort(fvals)
-    starts = sample[order[:16]]
-    refined = _descend_sigma(lambda X: _fnorm(f, X) ** 2, starts, eps, 150)
-    v_min = float(min(fvals.min(), _fnorm(f, refined).min()))
+    # min |f| on the sphere, refined by Gauss-Newton toward f = 0 on S_eps
+    # from the lowest samples, to notice when the zero set misses the sphere
+    def on_v(X):
+        return np.hstack([f.eval_many(X),
+                          (np.sum(X * X, axis=1, keepdims=True) - eps ** 2) / (2 * eps)])
+
+    def on_v_jacobian(X):
+        return np.concatenate([f.grad_many(X), X[:, None, :] / eps], axis=1)
+
+    refined, _ = _newton_batch(on_v, on_v_jacobian, sample[np.argsort(fvals)[:16]],
+                               NEWTON_TOL, NEWTON_MAX_ITER)
+    v_min = float(min(fvals.min(), _fnorm(f, _project(refined, eps)).min()))
 
     locus = search_tangency_locus(
         f, eps, seeds=seeds, iters=iters, rng_seed=rng_seed,
         tol_tangency=tol_tangency, extra_seeds=extra_seeds)
     tolerances = {"tol_tangency": tol_tangency, "tol_v": tol_v,
-                  "margin": margin, "dedup_radius": DEDUP_RADIUS,
-                  "fd_step": 1e-6 * eps}
+                  "margin": margin, "dedup_radius": DEDUP_RADIUS}
     min_f = locus.witnesses[0].f_norm if locus.witnesses else math.inf
     # locus points are sphere samples too; folding them in keeps the
     # zero-set-misses-the-sphere shortcut from outrunning a low tangency
@@ -511,15 +449,14 @@ def falsify_transversality(f: RealPolynomialMap, eps: float, *,
     if locus.witnesses:
         best = locus.witnesses[0]
         if best.f_norm > margin:
-            # the multistart minimises sigma alone, so the locus may have
+            # the multistart solves for tangency alone, so the locus may have
             # been hit far from V; before accepting support, try to push
             # |f| under the margin along the locus from the best witnesses
             # (targeting half the margin, not zero: the |f| -> 0 end of a
             # tangency branch can sit on the critical set)
             # the three pilots run as one batch; the choice replays in order
             pilots = np.array([w.point for w in locus.witnesses[:3]])
-            for cand in _certify(f, pilots, eps, 0.5 * margin, scale,
-                                 tol_tangency, 300):
+            for cand in _certify(f, pilots, eps, 0.5 * margin, tol_tangency):
                 if (cand.sigma < tol_tangency and not cand.near_critical
                         and cand.f_norm < best.f_norm):
                     best = cand
@@ -530,10 +467,9 @@ def falsify_transversality(f: RealPolynomialMap, eps: float, *,
                 TransversalityVerdict.HOLDS, locus.witnesses[:16],
                 [f"every regular-fiber tangency found keeps |f| >= "
                  f"{best.f_norm:.6g}, above the margin {margin:.6g}, and "
-                 "descending |f| along the tangency locus from the best "
+                 "the Newton level solve toward margin/2 from the best "
                  "witnesses did not cross it"])
-        seq = _build_sequence(f, eps, best, tol_tangency, tol_v,
-                              scale, margin, rng)
+        seq = _build_sequence(f, eps, best, tol_tangency, tol_v, margin, rng)
         if seq is not None:
             return report(
                 TransversalityVerdict.FAILS, seq,

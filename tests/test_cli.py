@@ -42,7 +42,7 @@ def test_analyze_worked_example(capsys):
     assert code == 0
     assert err == ""
     doc = strict_json(out)
-    assert doc["schema"] == "milnor-scope/1"
+    assert doc["schema"] == "milnor-scope/2"
     assert doc["command"] == "analyze"
     assert doc["input"] == WORKED
     s = doc["structure"]
@@ -135,7 +135,7 @@ def test_fiber_json(capsys):
     assert code == 0
     doc = strict_json(out)
     fib = doc["fiber"]
-    assert fib["schema"] == "milnor-scope/1"
+    assert fib["schema"] == "milnor-scope/2"
     assert fib["component_count"] == 2
     assert fib["converged"] > 100
     assert len(fib["points"]) == fib["converged"]

@@ -25,9 +25,8 @@ from milnorscope import (
 from milnorscope import sampling
 from milnorscope.fiber import NEWTON_TOL, _backtrack, _newton_batch
 from milnorscope.realpoly import minors_exact
-from milnorscope.transversality import (_certify, _fd_grad, _fnorm, _level_objective,
-                                        _matrices, _normalized, _sigma, _sigma_min,
-                                        _tangency_system)
+from milnorscope.transversality import (_certify, _fnorm, _level_system, _matrices,
+                                        _normalized, _sigma_min, _tangency_system)
 
 FAILING_MAP = parse_real_map("(x*y + z^2, x) vars x,y,z")
 G_MIXED = parse_mixed("z1 z1~ + z2^2 z2~")
@@ -161,26 +160,6 @@ def test_search_deduplicates():
 # are when the row runs alone
 
 
-def fd_grad_by_columns(field, X, h):
-    # reference: two field calls per column
-    G = np.empty_like(X)
-    hcol = np.broadcast_to(np.asarray(h, dtype=float), (len(X),))
-    for d in range(X.shape[1]):
-        Xp, Xm = X.copy(), X.copy()
-        Xp[:, d] += hcol
-        Xm[:, d] -= hcol
-        G[:, d] = (field(Xp) - field(Xm)) / (2.0 * hcol)
-    return G
-
-
-def test_fd_grad_matches_column_by_column_reference():
-    X = sampling.sphere_points(3, 3, 1.0, 4)
-    fields = (lambda Y: _sigma(FAILING_MAP, Y), _level_objective(FAILING_MAP, 0.05, 0.7))
-    for field in fields:
-        for h in (1e-6, np.array([1e-6, 3e-8, 1e-9])):
-            assert np.array_equal(_fd_grad(field, X, h), fd_grad_by_columns(field, X, h))
-
-
 def test_backtrack_contract():
     # toy field v = x^2 in one variable, steps along -D, shrink 0.5
     X = np.array([[1.0], [2.0], [3.0], [4.0]])
@@ -207,25 +186,39 @@ def test_backtrack_contract():
     assert X[:, 0].tolist() == [1.0, 2.0, 3.0, 4.0] and V.tolist() == [1.0, 4.0, 9.0, 16.0]
 
 
+def jacobian_error(f, eps, system, rng):
+    # largest relative error of the analytic Jacobian against central
+    # differences, at sphere points with random unit multipliers w
+    residual, jacobian = system
+    X = sampling.sphere_points(f.n, 8, eps, 5)
+    w = rng.normal(size=(8, f.p + 1))
+    Y = np.hstack([X, w / np.linalg.norm(w, axis=1, keepdims=True)])
+    A = jacobian(Y)
+    fd = np.empty_like(A)
+    for j in range(Y.shape[1]):
+        h = 1e-6 * (eps if j < f.n else 1.0)
+        E = np.zeros(Y.shape[1])
+        E[j] = h
+        fd[:, :, j] = (residual(Y + E) - residual(Y - E)) / (2.0 * h)
+    return (np.linalg.norm(A - fd, axis=(1, 2)) / np.linalg.norm(A, axis=(1, 2))).max()
+
+
 @pytest.mark.parametrize("f", [G_MIXED.to_real_map(), H_MIXED.to_real_map(), FAILING_MAP],
                          ids=["G", "H", "FAILING_MAP"])
 def test_tangency_jacobian_matches_central_differences(f):
     # the finite-difference oracle is the arbiter of the analytic Jacobian
     rng = np.random.default_rng(11)
     for eps in (1.0, 0.25):
-        residual, jacobian = _tangency_system(f, eps)
-        X = sampling.sphere_points(f.n, 8, eps, 5)
-        w = rng.normal(size=(8, f.p + 1))
-        Y = np.hstack([X, w / np.linalg.norm(w, axis=1, keepdims=True)])
-        A = jacobian(Y)
-        fd = np.empty_like(A)
-        for j in range(Y.shape[1]):
-            h = 1e-6 * (eps if j < f.n else 1.0)
-            E = np.zeros(Y.shape[1])
-            E[j] = h
-            fd[:, :, j] = (residual(Y + E) - residual(Y - E)) / (2.0 * h)
-        err = np.linalg.norm(A - fd, axis=(1, 2)) / np.linalg.norm(A, axis=(1, 2))
-        assert err.max() < 1e-6
+        assert jacobian_error(f, eps, _tangency_system(f, eps), rng) < 1e-6
+
+
+@pytest.mark.parametrize("f", [G_MIXED.to_real_map(), H_MIXED.to_real_map(), FAILING_MAP],
+                         ids=["G", "H", "FAILING_MAP"])
+def test_level_jacobian_matches_central_differences(f):
+    rng = np.random.default_rng(12)
+    for eps in (1.0, 0.25):
+        t = 0.1 * float(np.median(_fnorm(f, sampling.sphere_points(f.n, 64, eps, 3))))
+        assert jacobian_error(f, eps, _level_system(f, eps, t), rng) < 1e-6
 
 
 def test_tangency_residual_is_nan_where_a_gradient_norm_overflows():
@@ -235,6 +228,17 @@ def test_tangency_residual_is_nan_where_a_gradient_norm_overflows():
     with np.errstate(over="ignore", invalid="ignore"):
         R = residual(np.array([[4.64, 1.0, 0.0, 0.6, 0.0, 0.8], [2.0, 2.0, 1.0, 0.6, 0.0, 0.8]]))
     assert np.all(np.isnan(R[0, :3])) and np.all(np.isfinite(R[1]))
+
+
+def test_level_solve_keeps_non_finite_starts_without_a_warning():
+    # the level row log(|f|/t) is -inf on V and not finite where |f|
+    # overflows; the solver leaves such a start where it is, silently
+    big = parse_real_map("(x^300*y + z^2, x) vars x,y,z")
+    for f, x in ((FAILING_MAP, [0.0, 1.0, 0.0]), (big, [8.0, 0.5, 0.0])):
+        Y = np.array([x + [0.6, 0.0, 0.8]])
+        system = _level_system(f, float(np.linalg.norm(x)), 1e-3)
+        Z, rn = _newton_batch(*system, Y, NEWTON_TOL, 10)
+        assert np.array_equal(Z, Y) and not np.isfinite(rn[0])
 
 
 def test_tangency_solve_batch_equals_single_rows():
@@ -257,7 +261,7 @@ def test_certify_batch_equals_single_rows():
     X = np.array([w.point for w in locus.witnesses[:3]])
     assert len(X) == 3
     scale = float(np.median(_fnorm(h_map, sampling.sphere_points(6, 2048, 1.0, 101))))
-    args = (1.0, 0.5e-2 * scale, scale, 1e-8, 300)
+    args = (1.0, 0.5e-2 * scale, 1e-8)
     batch = _certify(h_map, X, *args)
     singles = [_certify(h_map, x[None], *args)[0] for x in X]
     assert len(batch) == 3
@@ -298,6 +302,15 @@ def test_falsifier_sequence_after_a_continuation_kick():
     for prev, nxt in zip(fns, fns[1:]):
         assert nxt <= prev / 10.0
     assert fns[-1] < rep.tolerances["tol_v"]
+
+
+def test_falsifier_finds_the_zero_set_on_the_sphere():
+    # V meets every sphere about the origin; a min |f| estimate above the
+    # margin would return HoldsAtBudget because "the zero set stays away"
+    for rng_seed in range(4):
+        for eps in (1.0, 0.5, 0.25, 0.125):
+            rep = falsify_transversality(FAILING_MAP, eps, seeds=16, iters=5, rng_seed=rng_seed)
+            assert rep.v_min_estimate < 1e-6 * rep.margin
 
 
 def test_falsifier_rejects_bad_radius():
