@@ -34,13 +34,19 @@ NEWTON_MAX_ITER = 100
 MIN_RELIABLE_POINTS = 10
 
 
-def rplus_flow(params: RadialWeights, t: float, z) -> np.ndarray:
-    """Apply the flow: multiply each coordinate z_j by t^{p_j} (t > 0)."""
-    if t <= 0:
-        raise ValueError("flow parameter t must be positive")
+def _flow_point(params: RadialWeights, z) -> np.ndarray:
     z = np.asarray(z, dtype=complex)
     if z.shape != (len(params.weights),):
         raise ValueError("point has wrong dimension")
+    if not np.all(np.isfinite(z)):
+        raise ValueError("point must be finite")
+    return z
+
+
+def rplus_flow(params: RadialWeights, t: float, z) -> np.ndarray:
+    """Apply the flow: multiply each coordinate z_j by t^{p_j} (t > 0)."""
+    sampling.check_positive("t", t)
+    z = _flow_point(params, z)
     factors = np.array([np.float64(t) ** p for p in params.weights])
     return z * factors
 
@@ -53,11 +59,7 @@ def inflate_to_sphere(params: RadialWeights, z, eps: float) -> tuple[float, np.n
     radius error of the returned point is below 1e-12.
     """
     sampling.check_positive("eps", eps)
-    z = np.asarray(z, dtype=complex)
-    if z.shape != (len(params.weights),):
-        raise ValueError("point has wrong dimension")
-    if not np.all(np.isfinite(z)):
-        raise ValueError("point must be finite")
+    z = _flow_point(params, z)
     m2 = np.abs(z) ** 2
     if not np.any(m2 > 0):
         raise ValueError("cannot inflate the origin")
@@ -209,24 +211,38 @@ def _mst(P: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     Returns the points in the order Prim adds them, starting at point 0,
     and for each point the tree neighbor it joins through and the
     length of that edge (-1 and inf for point 0).
+
+    The frontier is a (dim, m) array of the m points outside the tree,
+    with their indices, squared distances to the tree and nearest tree
+    points; a joining point is swap-removed.  For dim <= 7 the squared
+    distances, summed over the coordinates in order, have the bits of
+    np.linalg.norm(P - P[i], axis=1) squared (numpy sums 8 or more terms
+    pairwise); sqrt is monotone, so the tree is an MST of the lengths.
+    Every MST has the same sorted lengths, shortest edge at each point
+    and components under any cut radius, so the count, its radius, the
+    labels and nn_median do not depend on which MST ties pick.
     """
     n = len(P)
     order = np.zeros(n, dtype=int)
     parent = np.full(n, -1)
     length = np.full(n, np.inf)
-    in_tree = np.zeros(n, dtype=bool)
-    in_tree[0] = True
-    d = np.linalg.norm(P - P[0], axis=1)
-    near = np.zeros(n, dtype=int)
+    Q, idx = P.T[:, 1:].copy(), np.arange(1, n)
+    d, near = np.full(n - 1, np.inf), np.zeros(n - 1, dtype=int)
+    i = 0
     for k in range(1, n):
-        i = int(np.argmin(np.where(in_tree, np.inf, d)))
-        order[k], parent[i], length[i] = i, near[i], d[i]
-        in_tree[i] = True
-        di = np.linalg.norm(P - P[i], axis=1)
+        D = Q - P[i, :, None]
+        D *= D
+        di = np.add.reduce(D, axis=0)
         closer = di < d
-        d[closer] = di[closer]
-        near[closer] = i
-    return order, parent, length
+        np.copyto(d, di, where=closer)
+        np.copyto(near, i, where=closer)
+        j = int(np.argmin(d))
+        i = int(idx[j])
+        order[k], parent[i], length[i] = i, near[j], d[j]
+        m = n - 1 - k
+        Q[:, j], idx[j], d[j], near[j] = Q[:, m], idx[m], d[m], near[m]
+        Q, idx, d, near = Q[:, :m], idx[:m], d[:m], near[:m]
+    return order, parent, np.sqrt(length)
 
 
 def _persistent_count(edges: np.ndarray, floor: float, start: float,

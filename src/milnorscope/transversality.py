@@ -8,7 +8,7 @@ the smallest singular value of the row-normalised (p+1) x n matrix.
 Its zero set is located by multistart Gauss-Newton on the row-normalised
 Fritz John system (`_tangency_system`).  A continuation along that zero
 set toward the zero set of f solves the same system with one more row,
-log(|f| / t) = 0 (`_level_system`), for geometrically falling levels t;
+log(|f| / t) = 0 (its level t), for geometrically falling levels t;
 it either certifies a sequence of tangency points with |f| shrinking to
 zero (transversality fails) or stops with a positive margin (it holds at
 the given search budget).  The minimum of |f| on the sphere comes from
@@ -121,7 +121,7 @@ def _tangent_part(G: np.ndarray, X: np.ndarray, eps: float) -> np.ndarray:
     return G - (np.sum(G * X, axis=1) / eps ** 2)[:, None] * X
 
 
-def _tangency_system(f: RealPolynomialMap, eps: float):
+def _tangency_system(f: RealPolynomialMap, eps: float, t: float | None = None):
     """Residual and Jacobian of the row-normalised Fritz John system
 
         R(x, w) = [ M(x)^T w ; (|x|^2 - eps^2) / (2 eps^2) ; (|w|^2 - 1) / 2 ]
@@ -131,60 +131,49 @@ def _tangency_system(f: RealPolynomialMap, eps: float):
     The x-block of the Jacobian is sum_i w_i (I - g_i g_i^T) H_i / |grad f_i|
     + w_{p+1} I / eps (H_i the Hessian of f_i); the w-block is M^T.  A
     gradient row whose norm overflows makes R NaN.
+
+    A level t adds the row log(|f(x)| / t), whose zeros are the tangency
+    points at the level |f| = t (square for p = 2).  The row's x-gradient
+    is J^T f / |f|^2, from the Jacobian J the M block already evaluates,
+    and its w entries are zero; it is not finite where |f| overflows or
+    vanishes.
     """
     n, p = f.n, f.p
     hessians = RealPolynomialMap(n, [f.partial(i, j) for i in range(p) for j in range(n)])
 
-    def unit_gradients(X):
-        J = f.grad_many(X)
+    def unit_gradients(J):
         norms = np.linalg.norm(J, axis=2, keepdims=True)
         norms = np.where(np.isfinite(norms), np.where(norms < 1e-300, 1.0, norms), np.nan)
         return J / norms, norms
 
     def residual(Y):
         X, w = Y[:, :n], Y[:, n:]
-        G, _ = unit_gradients(X)
-        return np.concatenate([np.sum(G * w[:, :p, None], axis=1) + w[:, p:] * X / eps,
-                               (np.sum(X * X, axis=1, keepdims=True) - eps ** 2) / (2 * eps ** 2),
-                               (np.sum(w * w, axis=1, keepdims=True) - 1.0) / 2.0], axis=1)
+        G, _ = unit_gradients(f.grad_many(X))
+        R = [np.sum(G * w[:, :p, None], axis=1) + w[:, p:] * X / eps,
+             (np.sum(X * X, axis=1, keepdims=True) - eps ** 2) / (2 * eps ** 2),
+             (np.sum(w * w, axis=1, keepdims=True) - 1.0) / 2.0]
+        if t is not None:
+            R.append(np.log(_fnorm(f, X) / t)[:, None])
+        return np.concatenate(R, axis=1)
 
     def jacobian(Y):
         X, w = Y[:, :n], Y[:, n:]
-        G, norms = unit_gradients(X)
+        J = f.grad_many(X)
+        G, norms = unit_gradients(J)
         H = hessians.grad_many(X).reshape(len(Y), p, n, n)
         dG = (H - G[:, :, :, None] * (G[:, :, None, :] @ H)) / norms[:, :, :, None]
-        A = np.zeros((len(Y), n + 2, n + p + 1))
+        A = np.zeros((len(Y), n + 2 + (t is not None), n + p + 1))
         A[:, :n, :n] = np.sum(w[:, :p, None, None] * dG, axis=1) + w[:, p:, None] * np.eye(n) / eps
         A[:, :n, n:n + p] = np.transpose(G, (0, 2, 1))
         A[:, :n, n + p] = X / eps
         A[:, n, :n] = X / eps ** 2
         A[:, n + 1, n:] = w
+        if t is not None:
+            F = f.eval_many(X)
+            A[:, n + 2, :n] = np.sum(F[:, :, None] * J, axis=1) / np.sum(F * F, axis=1)[:, None]
         return A
 
     return residual, jacobian
-
-
-def _level_system(f: RealPolynomialMap, eps: float, t: float):
-    """`_tangency_system` with one more row, log(|f(x)| / t), whose zeros
-    are the tangency points on S_eps at the level |f| = t.  The row's
-    x-gradient is J^T f / |f|^2 and its w entries are zero; it is not
-    finite where |f| overflows or vanishes.  For p = 2 the system is square.
-    """
-    residual, jacobian = _tangency_system(f, eps)
-    n = f.n
-
-    def level_residual(Y):
-        return np.concatenate([residual(Y), np.log(_fnorm(f, Y[:, :n]) / t)[:, None]], axis=1)
-
-    def level_jacobian(Y):
-        X = Y[:, :n]
-        F = f.eval_many(X)
-        row = np.zeros((len(Y), 1, Y.shape[1]))
-        row[:, 0, :n] = (np.sum(F[:, :, None] * f.grad_many(X), axis=1)
-                         / np.sum(F * F, axis=1)[:, None])
-        return np.concatenate([jacobian(Y), row], axis=1)
-
-    return level_residual, level_jacobian
 
 
 def _solve_tangency(system, f: RealPolynomialMap, X: np.ndarray, eps: float,
@@ -311,11 +300,12 @@ class TransversalityReport:
 
 def _certify(f: RealPolynomialMap, X: np.ndarray, eps: float, target: float,
              tol_tangency: float) -> list[TangencyWitness]:
-    """Solve the level system (`_level_system`) from each row of X, projected
-    to S_eps, for a tangency point at |f| = target, and measure the result:
-    one witness per row, each the same as from a batch of that row alone."""
+    """Solve the level system (`_tangency_system` at level `target`) from
+    each row of X, projected to S_eps, for a tangency point at |f| = target,
+    and measure the result: one witness per row, each the same as from a
+    batch of that row alone."""
     X = _project(np.array(X, dtype=float), eps)
-    X = _solve_tangency(_level_system(f, eps, target), f, X, eps, NEWTON_MAX_ITER)
+    X = _solve_tangency(_tangency_system(f, eps, target), f, X, eps, NEWTON_MAX_ITER)
     return _make_witnesses(f, X, eps, tol_tangency)
 
 

@@ -61,10 +61,13 @@ def test_flow_equivariance():
 
 def test_flow_rejects_bad_input():
     params = radial_weights(G_MIXED)
-    with pytest.raises(ValueError, match="positive"):
-        rplus_flow(params, 0.0, [1j, 0j])
+    for bad in (0.0, -1.0, math.nan, math.inf):
+        with pytest.raises(ValueError, match="t must be positive and finite"):
+            rplus_flow(params, bad, [1j, 0j])
     with pytest.raises(ValueError, match="dimension"):
         rplus_flow(params, 1.0, [1j])
+    with pytest.raises(ValueError, match="point must be finite"):
+        rplus_flow(params, 1.0, [complex(math.nan, 0.0), 1j])
 
 
 def test_inflate_homogeneous_closed_form():
@@ -367,3 +370,87 @@ def test_mst_cut_with_duplicates_and_two_blobs():
         assert np.array_equal(labels, ref)
         assert count == ref.max() + 1
     assert _cut_labels(order, parent, length, 1.0)[1] == 2
+
+
+def reference_mst(P):
+    """The reference for `_mst`: Prim where every step takes
+    np.linalg.norm from the new tree point to all N points and masks the
+    tree out."""
+    n = len(P)
+    order = np.zeros(n, dtype=int)
+    parent = np.full(n, -1)
+    length = np.full(n, np.inf)
+    in_tree = np.zeros(n, dtype=bool)
+    in_tree[0] = True
+    d = np.linalg.norm(P - P[0], axis=1)
+    near = np.zeros(n, dtype=int)
+    for k in range(1, n):
+        i = int(np.argmin(np.where(in_tree, np.inf, d)))
+        order[k], parent[i], length[i] = i, near[i], d[i]
+        in_tree[i] = True
+        di = np.linalg.norm(P - P[i], axis=1)
+        closer = di < d
+        d[closer] = di[closer]
+        near[closer] = i
+    return order, parent, length
+
+
+def shortest_edges(parent, length):
+    nn = length.copy()
+    np.minimum.at(nn, parent[1:], length[1:])
+    return nn
+
+
+def mst_clouds(dim):
+    """Clouds that stress ties: two points, a scaled Gaussian blob with
+    exact duplicates, collinear points at repeated spacings, and integer
+    lattice points, whose distances tie in many ways."""
+    rng = np.random.default_rng(100 + dim)
+    blob = rng.normal(size=(150, dim)) * rng.uniform(0.01, 10.0, size=dim)
+    blob = np.vstack([blob, blob[:12], blob[:3]])
+    steps = rng.choice([0.0, 0.25, 0.5, 1.0], size=120)
+    line = np.cumsum(steps)[:, None] * rng.normal(size=dim) + rng.normal(size=dim)
+    lattice = rng.integers(-3, 4, size=(150, dim)).astype(float)
+    return [rng.normal(size=(2, dim)), blob[rng.permutation(len(blob))],
+            line[rng.permutation(len(line))], lattice]
+
+
+@pytest.mark.parametrize("dim", range(1, 8))
+def test_squared_distances_in_coordinate_order_have_the_norm_bits(dim):
+    # _mst's byte-identity with the norm-based Prim rests on this
+    rng = np.random.default_rng(dim)
+    P = rng.normal(size=(500, dim)) * rng.uniform(1e-3, 1e3, size=dim)
+    for i in (0, 17, 499):
+        D = (P - P[i]).T.copy()
+        D *= D
+        assert np.array_equal(np.sqrt(np.add.reduce(D, axis=0)),
+                              np.linalg.norm(P - P[i], axis=1))
+
+
+@pytest.mark.parametrize("dim", range(1, 8))
+def test_mst_matches_the_norm_prim_reference(dim):
+    for P in mst_clouds(dim):
+        order, parent, length = _mst(P)
+        ref_order, ref_parent, ref_length = reference_mst(P)
+        assert order[0] == 0 and parent[0] == -1 and length[0] == np.inf
+        assert sorted(order) == list(range(len(P)))
+        position = np.argsort(order)
+        assert np.all(position[parent[order[1:]]] < np.arange(1, len(P)))
+        assert np.array_equal(length[1:], np.linalg.norm(P[1:] - P[parent[1:]], axis=1))
+        assert np.array_equal(np.sort(length[1:]), np.sort(ref_length[1:]))
+        assert np.array_equal(shortest_edges(parent, length),
+                              shortest_edges(ref_parent, ref_length))
+        edges = np.sort(ref_length[1:])
+        for radius in (0.0, *np.quantile(edges, [0.1, 0.5, 0.9]), edges[len(edges) // 2], edges[-1]):
+            labels, count = _cut_labels(order, parent, length, radius)
+            ref_labels, ref_count = _cut_labels(ref_order, ref_parent, ref_length, radius)
+            assert count == ref_count
+            assert np.array_equal(labels, ref_labels)
+
+
+@pytest.mark.parametrize("dim", range(8, 11))
+def test_mst_lengths_at_dim_8_and_above_match_to_rounding(dim):
+    # numpy's norm sums 8 or more squares pairwise, _mst in order
+    for P in mst_clouds(dim):
+        length = np.sort(_mst(P)[2][1:])
+        np.testing.assert_allclose(length, np.sort(reference_mst(P)[2][1:]), rtol=1e-15, atol=0)

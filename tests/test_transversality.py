@@ -25,7 +25,7 @@ from milnorscope import (
 from milnorscope import sampling
 from milnorscope.fiber import NEWTON_TOL, _backtrack, _newton_batch
 from milnorscope.realpoly import minors_exact
-from milnorscope.transversality import (_certify, _fnorm, _level_system, _matrices,
+from milnorscope.transversality import (_certify, _fnorm, _matrices,
                                         _normalized, _sigma_min, _tangency_system)
 
 FAILING_MAP = parse_real_map("(x*y + z^2, x) vars x,y,z")
@@ -218,7 +218,7 @@ def test_level_jacobian_matches_central_differences(f):
     rng = np.random.default_rng(12)
     for eps in (1.0, 0.25):
         t = 0.1 * float(np.median(_fnorm(f, sampling.sphere_points(f.n, 64, eps, 3))))
-        assert jacobian_error(f, eps, _level_system(f, eps, t), rng) < 1e-6
+        assert jacobian_error(f, eps, _tangency_system(f, eps, t), rng) < 1e-6
 
 
 def test_tangency_residual_is_nan_where_a_gradient_norm_overflows():
@@ -236,7 +236,7 @@ def test_level_solve_keeps_non_finite_starts_without_a_warning():
     big = parse_real_map("(x^300*y + z^2, x) vars x,y,z")
     for f, x in ((FAILING_MAP, [0.0, 1.0, 0.0]), (big, [8.0, 0.5, 0.0])):
         Y = np.array([x + [0.6, 0.0, 0.8]])
-        system = _level_system(f, float(np.linalg.norm(x)), 1e-3)
+        system = _tangency_system(f, float(np.linalg.norm(x)), 1e-3)
         Z, rn = _newton_batch(*system, Y, NEWTON_TOL, 10)
         assert np.array_equal(Z, Y) and not np.isfinite(rn[0])
 
