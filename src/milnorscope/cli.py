@@ -205,6 +205,10 @@ def cmd_flow(args) -> int:
         ts = _floats(args.t)
     else:
         lo, hi, num = args.t_range
+        # beyond 2**53 a float no longer tells N from N + 1
+        if not (num.is_integer() and 1 <= num <= 2 ** 53):
+            raise ParseError(f"--t-range N must be a positive integer (at most 2**53), "
+                             f"got {num:g}", 0)
         ts = list(np.linspace(lo, hi, int(num)))
     if not all(t > 0 and math.isfinite(t) for t in ts):
         raise ParseError("flow times must be positive and finite", 0)
@@ -248,7 +252,74 @@ def cmd_flow(args) -> int:
 # ----------------------------------------------------------------------
 
 
-def build_parser() -> argparse.ArgumentParser:
+def _common(p):
+    p.add_argument("expr", nargs="?", help="polynomial or map expression")
+    p.add_argument("--file", help="read the expression from a file")
+    p.add_argument("--out", help="write output to a file instead of stdout")
+    p.add_argument("--rng-seed", type=int, default=0)
+    p.add_argument("--no-timing", action="store_true",
+                   help="omit wall-clock timing for reproducible bytes")
+
+
+def _numeric(p):
+    p.add_argument("--seeds", type=int, default=DEFAULT_SEEDS)
+    p.add_argument("--iters", type=int, default=DEFAULT_ITERS)
+    p.add_argument("--tol-tangency", type=float, default=TOL_TANGENCY)
+    p.add_argument("--tol-v", type=float, default=TOL_V)
+    p.add_argument("--margin", type=float, default=None,
+                   help="override the automatic |f| margin")
+
+
+def _analyze_options(p):
+    _numeric(p)
+    p.add_argument("--transversality-eps", type=_float_list_arg, default=None,
+                   metavar="LIST",
+                   help="also run the tangency search on these sphere radii")
+
+
+def _transversality_options(p):
+    _numeric(p)
+    p.add_argument("--eps", type=_float_list_arg, default=[1.0, 0.5, 0.25, 0.125],
+                   metavar="LIST", help="comma-separated sphere radii")
+
+
+def _fiber_options(p):
+    p.add_argument("--value", required=True, metavar="LIST",
+                   help="comma-separated target value")
+    p.add_argument("--compare", metavar="LIST",
+                   help="second target value; reports both component counts")
+    p.add_argument("--eps", type=float, default=1.0, help="ball radius")
+    p.add_argument("--count", type=int, default=2000, help="seed count")
+    p.add_argument("--format", choices=("json", "csv"), default="json")
+
+
+def _flow_options(p):
+    p.add_argument("--point", required=True, metavar="LIST",
+                   help="real coordinates x1,y1,...,xn,yn")
+    p.add_argument("--t", metavar="LIST", help="comma-separated flow times")
+    p.add_argument("--t-range", nargs=3, type=float, default=(0.5, 2.0, 7.0),
+                   metavar=("LO", "HI", "N"), help="evenly spaced flow times")
+    p.add_argument("--eps", type=_float_list_arg, default=None,
+                   metavar="LIST", help="also inflate the point to these radii")
+
+
+# name -> (help, handler, options beyond the common ones), in usage order
+SUBCOMMANDS = {
+    "analyze": ("symbolic structure of a mixed polynomial", cmd_analyze, _analyze_options),
+    "transversality": ("tangency search on spheres", cmd_transversality,
+                       _transversality_options),
+    "fiber": ("sample a fiber inside a ball", cmd_fiber, _fiber_options),
+    "flow": ("trace the radial flow through a point", cmd_flow, _flow_options),
+}
+
+
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The command line parser, with the subparser of `command` only, or
+    of every subcommand when it is None.
+
+    Usage and error lines name every subcommand either way, so a parser
+    built for the subcommand a call names prints what the full one would.
+    """
     ap = argparse.ArgumentParser(
         prog="milnorscope",
         description="Fibration structure of diagonal mixed polynomials and "
@@ -260,65 +331,27 @@ def build_parser() -> argparse.ArgumentParser:
                "  milnorscope flow 'z1 z1~ + z2^2 z2~^2' --point 1,0,1,0 --t 0.5,1,2\n",
         formatter_class=argparse.RawDescriptionHelpFormatter)
     ap.add_argument("--version", action="version", version=__version__)
-    sub = ap.add_subparsers(dest="command", required=True)
-
-    def common(p):
-        p.add_argument("expr", nargs="?", help="polynomial or map expression")
-        p.add_argument("--file", help="read the expression from a file")
-        p.add_argument("--out", help="write output to a file instead of stdout")
-        p.add_argument("--rng-seed", type=int, default=0)
-        p.add_argument("--no-timing", action="store_true",
-                       help="omit wall-clock timing for reproducible bytes")
-
-    def numeric(p):
-        p.add_argument("--seeds", type=int, default=DEFAULT_SEEDS)
-        p.add_argument("--iters", type=int, default=DEFAULT_ITERS)
-        p.add_argument("--tol-tangency", type=float, default=TOL_TANGENCY)
-        p.add_argument("--tol-v", type=float, default=TOL_V)
-        p.add_argument("--margin", type=float, default=None,
-                       help="override the automatic |f| margin")
-
-    pa = sub.add_parser("analyze", help="symbolic structure of a mixed polynomial")
-    common(pa)
-    numeric(pa)
-    pa.add_argument("--transversality-eps", type=_float_list_arg, default=None,
-                    metavar="LIST",
-                    help="also run the tangency search on these sphere radii")
-    pa.set_defaults(func=cmd_analyze)
-
-    pt = sub.add_parser("transversality", help="tangency search on spheres")
-    common(pt)
-    numeric(pt)
-    pt.add_argument("--eps", type=_float_list_arg, default=[1.0, 0.5, 0.25, 0.125],
-                    metavar="LIST", help="comma-separated sphere radii")
-    pt.set_defaults(func=cmd_transversality)
-
-    pf = sub.add_parser("fiber", help="sample a fiber inside a ball")
-    common(pf)
-    pf.add_argument("--value", required=True, metavar="LIST",
-                    help="comma-separated target value")
-    pf.add_argument("--compare", metavar="LIST",
-                    help="second target value; reports both component counts")
-    pf.add_argument("--eps", type=float, default=1.0, help="ball radius")
-    pf.add_argument("--count", type=int, default=2000, help="seed count")
-    pf.add_argument("--format", choices=("json", "csv"), default="json")
-    pf.set_defaults(func=cmd_fiber)
-
-    pw = sub.add_parser("flow", help="trace the radial flow through a point")
-    common(pw)
-    pw.add_argument("--point", required=True, metavar="LIST",
-                    help="real coordinates x1,y1,...,xn,yn")
-    pw.add_argument("--t", metavar="LIST", help="comma-separated flow times")
-    pw.add_argument("--t-range", nargs=3, type=float, default=(0.5, 2.0, 7),
-                    metavar=("LO", "HI", "N"), help="evenly spaced flow times")
-    pw.add_argument("--eps", type=_float_list_arg, default=None,
-                    metavar="LIST", help="also inflate the point to these radii")
-    pw.set_defaults(func=cmd_flow)
+    # argparse names the subcommand action by its metavar, if set, else by
+    # its dest ("argument command: invalid choice"), so the full parser
+    # keeps the choice list it derives
+    sub = ap.add_subparsers(
+        dest="command", required=True,
+        metavar=None if command is None else "{" + ",".join(SUBCOMMANDS) + "}")
+    for name, (help_text, handler, options) in SUBCOMMANDS.items():
+        if command in (None, name):
+            p = sub.add_parser(name, help=help_text)
+            _common(p)
+            options(p)
+            p.set_defaults(func=handler)
     return ap
 
 
 def main(argv=None) -> int:
-    ap = build_parser()
+    argv = sys.argv[1:] if argv is None else argv
+    # the full parser costs about as much as an `analyze` call; any first
+    # word other than a subcommand needs it for its help or its error
+    first = argv[0] if argv else None
+    ap = build_parser(first if first in SUBCOMMANDS else None)
     args = ap.parse_args(argv)
     try:
         return args.func(args)

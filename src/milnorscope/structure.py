@@ -140,7 +140,8 @@ def _missing_indices(psi: DiagonalMixedPolynomial) -> list[int]:
     return [j for j in range(1, psi.n + 1) if psi.term_for(j) is None]
 
 
-def critical_set(psi: DiagonalMixedPolynomial) -> CriticalSetDescription:
+def critical_set(psi: DiagonalMixedPolynomial, *,
+                 partition: CriticalIndexPartition | None = None) -> CriticalSetDescription:
     """The critical set as a union of coordinate subspaces, one per class.
 
     For each colinearity class J the subspace sets every other occurring
@@ -148,13 +149,14 @@ def critical_set(psi: DiagonalMixedPolynomial) -> CriticalSetDescription:
     plain or conjugate degree one forces an empty critical set since its
     differential never vanishes.  Degenerate shapes (no critical
     indices, all indices critical, absent variables) carry a note.
+    `partition`, if given, is `colinearity_classes(psi)`.
     """
     linear = _linear_indices(psi)
     missing = _missing_indices(psi)
     if linear:
         return CriticalSetDescription(
             (), note=f"empty: the term in z{linear[0]} has a nowhere-zero differential")
-    part = colinearity_classes(psi)
+    part = colinearity_classes(psi) if partition is None else partition
     present = sorted(t.j for t in psi.terms)
     notes = []
     if missing:
@@ -216,12 +218,16 @@ class DiscriminantGeometry:
     note: str | None = None
 
 
-def discriminant(psi: DiagonalMixedPolynomial) -> DiscriminantGeometry:
-    """Geometry of the set of critical values."""
+def discriminant(psi: DiagonalMixedPolynomial, *,
+                 partition: CriticalIndexPartition | None = None) -> DiscriminantGeometry:
+    """Geometry of the set of critical values.
+
+    `partition`, if given, is `colinearity_classes(psi)`.
+    """
     linear = _linear_indices(psi)
     if linear:
         return DiscriminantGeometry((), False, note="empty critical set")
-    part = colinearity_classes(psi)
+    part = colinearity_classes(psi) if partition is None else partition
     if not part.critical:
         return DiscriminantGeometry((), False,
                                     note="critical values reduce to the origin")
@@ -264,7 +270,8 @@ def radial_weights(psi: DiagonalMixedPolynomial) -> RadialWeights:
 # zero set of the critical values
 
 
-def sigma_cap_V_trivial(psi: DiagonalMixedPolynomial) -> tuple[bool, dict]:
+def sigma_cap_V_trivial(psi: DiagonalMixedPolynomial, *,
+                        partition: CriticalIndexPartition | None = None) -> tuple[bool, dict]:
     """Whether the critical set meets the zero set only at the origin.
 
     On the subspace of class J the value is e^{i theta} sum mu_j s_j
@@ -272,7 +279,8 @@ def sigma_cap_V_trivial(psi: DiagonalMixedPolynomial) -> tuple[bool, dict]:
     when some class mixes signs, or when an absent variable leaves a
     free coordinate.  Returns (flag, certificate); the certificate
     carries per-class signs and an explicit witness point when the
-    intersection is nontrivial.
+    intersection is nontrivial.  `partition`, if given, is
+    `colinearity_classes(psi)`.
     """
     linear = _linear_indices(psi)
     if linear:
@@ -285,7 +293,7 @@ def sigma_cap_V_trivial(psi: DiagonalMixedPolynomial) -> tuple[bool, dict]:
             "note": f"z{missing[0]} has no term; the axis lies in both sets",
             "classes": [],
             "witness": [(w.real, w.imag) for w in witness]}
-    part = colinearity_classes(psi)
+    part = colinearity_classes(psi) if partition is None else partition
     cls_info = []
     witness = None
     for cls in part.classes:
@@ -376,23 +384,25 @@ class FibrationVerdict:
     preconditions: dict
 
 
-def fibration_verdict(psi: DiagonalMixedPolynomial) -> FibrationVerdict:
+def fibration_verdict(psi: DiagonalMixedPolynomial, *,
+                      partition: CriticalIndexPartition | None = None) -> FibrationVerdict:
     """Decide which sufficient fibration criterion applies, if any.
 
     The checks run in a fixed order: global submersion from linear
     terms, isolated critical point, the colinearity criterion for
     positive exponents, then the special family.  When none applies the
     verdict is Undetermined and the reasons list what failed; that is
-    not a proof that no fibration exists.
+    not a proof that no fibration exists.  `partition`, if given, is
+    `colinearity_classes(psi)`.
     """
-    part = colinearity_classes(psi)
+    part = colinearity_classes(psi) if partition is None else partition
     missing = _missing_indices(psi)
     crit = part.critical
     all_positive = not missing and all(t.a >= 1 and t.b >= 1 for t in psi.terms)
     same_arg = all(cls.all_same_argument for cls in part.classes)
-    trivial, cert = sigma_cap_V_trivial(psi)
+    trivial, cert = sigma_cap_V_trivial(psi, partition=part)
     special = special_family_form(psi)
-    disc = discriminant(psi)
+    disc = discriminant(psi, partition=part)
     pre = {
         "critical_count": len(crit),
         "proper_critical_range": 0 < len(crit) < psi.n,
@@ -474,21 +484,22 @@ class StructureReport:
 
 
 def analyze(psi: DiagonalMixedPolynomial) -> StructureReport:
-    """Run the full symbolic analysis."""
+    """Run the full symbolic analysis, on one colinearity partition."""
     try:
         rw = radial_weights(psi)
         rw_err = None
     except ValueError as exc:
         rw = None
         rw_err = str(exc)
+    part = colinearity_classes(psi)
     return StructureReport(
         psi=psi,
-        partition=colinearity_classes(psi),
-        critical_set=critical_set(psi),
-        discriminant=discriminant(psi),
+        partition=part,
+        critical_set=critical_set(psi, partition=part),
+        discriminant=discriminant(psi, partition=part),
         radial_weights=rw,
         radial_weights_error=rw_err,
-        verdict=fibration_verdict(psi),
+        verdict=fibration_verdict(psi, partition=part),
     )
 
 

@@ -101,12 +101,6 @@ def _matrices(f: RealPolynomialMap, X: np.ndarray) -> np.ndarray:
     return np.concatenate([f.grad_many(X), X[:, None, :]], axis=1)
 
 
-def _sigma(f: RealPolynomialMap, X: np.ndarray) -> np.ndarray:
-    # full-precision dependence measure, batched; _normalized states overflow
-    with np.errstate(over="ignore", invalid="ignore"):
-        return _sigma_min(_matrices(f, X))
-
-
 def _fnorm(f: RealPolynomialMap, X: np.ndarray) -> np.ndarray:
     return np.linalg.norm(f.eval_many(X), axis=1)
 
@@ -254,8 +248,11 @@ def search_tangency_locus(f: RealPolynomialMap, eps: float, *,
         if len(P):
             X = np.vstack([X, _project(P, eps)])
     X = _solve_tangency(_tangency_system(f, eps), f, X, eps, iters)
-    cand = X[_sigma(f, X) < tol_tangency]
-    made = _make_witnesses(f, cand, eps, tol_tangency)
+    # every row is measured once (nearly all pass); _normalized states an
+    # overflow, so numpy need not warn about it first
+    with np.errstate(over="ignore", invalid="ignore"):
+        made = [w for w in _make_witnesses(f, X, eps, tol_tangency)
+                if w.sigma < tol_tangency]
 
     def dedup(ws):
         # greedy by |f|: keep a witness beyond DEDUP_RADIUS of all kept ones
@@ -272,7 +269,7 @@ def search_tangency_locus(f: RealPolynomialMap, eps: float, *,
 
     return LocusSearchResult(dedup([w for w in made if not w.near_critical]),
                              dedup([w for w in made if w.near_critical]),
-                             attempted=len(X), converged=len(cand))
+                             attempted=len(X), converged=len(made))
 
 
 # ----------------------------------------------------------------------

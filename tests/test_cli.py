@@ -8,8 +8,8 @@ from pathlib import Path
 import pytest
 
 import milnorscope
-from milnorscope import __version__
-from milnorscope.cli import main
+from milnorscope import __version__, structure
+from milnorscope.cli import SUBCOMMANDS, build_parser, main
 
 FAILING_MAP = "(x*y + z^2, x) vars x,y,z"
 G = "z1 z1~ + z2^2 z2~"
@@ -67,6 +67,21 @@ def test_analyze_with_attached_transversality(capsys):
     doc = strict_json(out)
     assert len(doc["transversality"]) == 1
     assert doc["transversality"][0]["verdict"] == "HoldsAtBudget"
+
+
+def test_analyze_builds_the_partition_once(capsys, monkeypatch):
+    calls = []
+    build = structure.colinearity_classes
+
+    def counted(psi):
+        calls.append(psi)
+        return build(psi)
+
+    monkeypatch.setattr(structure, "colinearity_classes", counted)
+    code, out, _ = run(capsys, ["analyze", WORKED, "--no-timing"])
+    assert code == 0
+    assert strict_json(out)["structure"]["verdict"]["kind"] == "FibrationMainTheorem"
+    assert len(calls) == 1
 
 
 def test_analyze_rejects_real_maps(capsys):
@@ -281,6 +296,22 @@ def test_flow_overflow_is_null(capsys, argv):
     assert None in sample["value"]
 
 
+@pytest.mark.parametrize("num", ["0", "2.5", "-1", "1e30", "nan", "inf"])
+def test_flow_time_count_must_be_a_positive_integer(capsys, num):
+    code, out, err = run(capsys, ["flow", G, "--point", "1,0,1,0",
+                                  "--t-range", "1", "2", num, "--no-timing"])
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: --t-range N must be a positive integer")
+
+
+def test_flow_single_time(capsys):
+    code, out, _ = run(capsys, ["flow", G, "--point", "1,0,1,0",
+                                "--t-range", "1.5", "2", "1", "--no-timing"])
+    assert code == 0
+    assert [s["t"] for s in strict_json(out)["samples"]] == [1.5]
+
+
 def test_flow_errors(capsys):
     code, _, err = run(capsys, ["flow", G, "--point", "1,0"])
     assert code == 2 and "--point needs 4 reals" in err
@@ -337,6 +368,46 @@ def test_unreadable_file_is_bad_input(tmp_path, capsys):
     code, _, err = run(capsys, ["analyze", "--file", str(tmp_path / "absent.txt")])
     assert code == 2
     assert err.startswith("error:")
+
+
+def _outcome(capsys, parse):
+    try:
+        code = parse()
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+# a complete call, then calls with an option short of its value or a
+# required option missing
+_CALLS = {
+    "analyze": [["analyze", G], ["analyze", "--seeds"],
+                ["analyze", G, "--transversality-eps"]],
+    "transversality": [["transversality", FAILING_MAP],
+                       ["transversality", FAILING_MAP, "--eps"]],
+    "fiber": [["fiber", FAILING_MAP, "--value", "1,0"], ["fiber", FAILING_MAP],
+              ["fiber", FAILING_MAP, "--value"]],
+    "flow": [["flow", G, "--point", "1,0,1,0"], ["flow", G],
+             ["flow", G, "--point", "1,0,1,0", "--t-range", "1", "2"]],
+}
+
+
+@pytest.mark.parametrize("command", list(SUBCOMMANDS))
+def test_subcommand_parser_answers_like_the_full_parser(capsys, command):
+    # main builds only the named subcommand's parser; whatever argparse
+    # prints or exits with must be what the parser of all four gives.
+    # Unknown options after a complete call are reported by the top-level
+    # parser, whose usage line lists every subcommand.
+    complete, *incomplete = _CALLS[command]
+    argvs = [complete + ["--bogus"], complete + ["--version"], [command, "--help"],
+             *incomplete, ["--help"], ["--version"], ["bogus", G], [], ["--bogus"]]
+    for argv in argvs:
+        got = _outcome(capsys, lambda: main(list(argv)))
+        want = _outcome(capsys, lambda: build_parser().parse_args(list(argv)))
+        assert got == want, argv
+        assert got[0] in (0, 2), argv
+        assert (got[1] if got[0] == 0 else got[2]) != "", argv
 
 
 def test_version_flag(capsys):

@@ -2,13 +2,17 @@
 
 import importlib.util
 import json
+import subprocess
+import sys
 from pathlib import Path
 
-TOOL = Path(__file__).resolve().parent.parent / "tools" / "same_output.py"
+ROOT = Path(__file__).resolve().parent.parent
+TOOL = ROOT / "tools" / "same_output.py"
 _spec = importlib.util.spec_from_file_location("same_output", TOOL)
 same_output = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(same_output)
 first_difference = same_output.first_difference
+field = same_output.field
 
 
 def test_equal_documents_have_no_difference():
@@ -41,3 +45,26 @@ def test_equal_values_of_different_types():
     assert a == b
     assert first_difference(a, b, "stdout") == "stdout.n"
     assert first_difference(1, 1, "stdout") is None
+
+
+def test_field_order_exit_stdout_stderr():
+    a = {"exit": 2, "stdout": "", "stderr": "usage: milnorscope {analyze,flow} ...\n"}
+    assert field(a, dict(a)) is None
+    assert field(a, dict(a, stderr="usage: milnorscope {analyze} ...\n")) == "stderr"
+    assert field(a, dict(a, exit=0, stderr="")) == "exit (2 vs 0)"
+    b = {"exit": 0, "stdout": '{"n": 1}', "stderr": "x"}
+    assert field(b, dict(b, stdout='{"n": 2}', stderr="y")) == "stdout.n"
+    assert field(b, dict(b, stdout="n 2")) == "stdout"
+
+
+def test_job_runner_records_stderr():
+    argvs = [["flow", "z1 z1~", "--point", "1,0", "--t-range", "1", "2", "0"],
+             ["analyze", "--bogus", "z1 z1~"]]
+    done = subprocess.run([sys.executable, str(TOOL), "--run-jobs", str(ROOT / "src")],
+                          input=json.dumps(argvs), capture_output=True, text=True,
+                          check=True)
+    flow, bogus = [json.loads(line) for line in done.stdout.splitlines()]
+    assert flow["exit"] == 2 and flow["stdout"] == ""
+    assert flow["stderr"].startswith("error: --t-range N must be a positive integer")
+    assert bogus["exit"] == 2
+    assert "unrecognized arguments: --bogus" in bogus["stderr"]

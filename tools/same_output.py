@@ -7,11 +7,11 @@ workload is checked at each seed, in the order given.  A job list is the
 one `perfbench/run.py --workload W --seed N` runs at the run length in
 BENCHMARK.json (every job carries `--no-timing`).  Each tree
 runs every job through `milnorscope.cli.main` in its own subprocess, with
-BLAS on one thread as in the benchmark.  The exit code and stdout of each
-job are compared; the first difference is printed as the job index and
-the field (`exit`, a JSON key path into stdout, or `stdout` when it is
-not JSON), and the check stops there.  Exits 0 when everything matches
-and 1 otherwise.
+BLAS on one thread as in the benchmark.  The exit code, stdout and
+stderr of each job are compared; the first difference is printed as the
+job index and the field (`exit`, a JSON key path into stdout, `stdout`
+when it is not JSON, or `stderr`), and the check stops there.  Exits 0
+when everything matches and 1 otherwise.
 """
 
 from __future__ import annotations
@@ -38,20 +38,21 @@ def job_argvs(workload: str, seed: int) -> list[list[str]]:
 
 def run_jobs(src: str) -> None:
     """Run the argv lists on stdin through cli.main from `src`; print one
-    JSON line {"exit", "stdout"} per job."""
+    JSON line {"exit", "stdout", "stderr"} per job."""
     src_dir = Path(src).resolve()
     sys.path.insert(0, str(src_dir))
     from milnorscope import cli
     if Path(cli.__file__).resolve().parent.parent != src_dir:
         raise SystemExit(f"imported milnorscope from {cli.__file__}, not {src_dir}")
     for argv in json.load(sys.stdin):
-        out = io.StringIO()
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             try:
                 code = cli.main(argv)
             except SystemExit as exc:       # argparse rejects its arguments
                 code = exc.code
-        print(json.dumps({"exit": code, "stdout": out.getvalue()}), flush=True)
+        print(json.dumps({"exit": code, "stdout": out.getvalue(), "stderr": err.getvalue()}),
+              flush=True)
 
 
 def first_difference(a, b, path: str) -> str | None:
@@ -76,13 +77,13 @@ def first_difference(a, b, path: str) -> str | None:
 def field(a: dict, b: dict) -> str | None:
     if a["exit"] != b["exit"]:
         return f"exit ({a['exit']} vs {b['exit']})"
-    if a["stdout"] == b["stdout"]:
-        return None
-    try:
-        found = first_difference(json.loads(a["stdout"]), json.loads(b["stdout"]), "stdout")
-    except json.JSONDecodeError:
-        found = None
-    return found or "stdout"
+    if a["stdout"] != b["stdout"]:
+        try:
+            found = first_difference(json.loads(a["stdout"]), json.loads(b["stdout"]), "stdout")
+        except json.JSONDecodeError:
+            found = None
+        return found or "stdout"
+    return None if a["stderr"] == b["stderr"] else "stderr"
 
 
 def compare(parent_src: str, change_src: str, workload: str, seed: int) -> int:
@@ -105,7 +106,8 @@ def compare(parent_src: str, change_src: str, workload: str, seed: int) -> int:
         if diff:
             print(f"{workload} seed {seed}: job {i} differs at {diff}")
             return 1
-    print(f"{workload} seed {seed}: {count} jobs, stdout and exit codes identical", flush=True)
+    print(f"{workload} seed {seed}: {count} jobs, stdout, stderr and exit codes identical",
+          flush=True)
     return 0
 
 
