@@ -15,8 +15,10 @@ input, 3 transversality inconclusive somewhere.
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import re
+import shutil
 import sys
 import time
 
@@ -201,8 +203,8 @@ def cmd_flow(args) -> int:
         raise ParseError(
             f"--point needs {2 * obj.n} reals (x1,y1,...), got {len(coords)}", 0)
     z = reals_to_complex(coords)
-    if args.t:
-        ts = _floats(args.t)
+    if args.t is not None:
+        ts = args.t
     else:
         lo, hi, num = args.t_range
         # beyond 2**53 a float no longer tells N from N + 1
@@ -285,9 +287,11 @@ def _transversality_options(p):
 
 def _fiber_options(p):
     p.add_argument("--value", required=True, metavar="LIST",
-                   help="comma-separated target value")
+                   help="comma-separated target value (--value=-1,0 for a "
+                        "leading minus)")
     p.add_argument("--compare", metavar="LIST",
-                   help="second target value; reports both component counts")
+                   help="second target value; reports both component counts "
+                        "(--compare=-1,0 for a leading minus)")
     p.add_argument("--eps", type=float, default=1.0, help="ball radius")
     p.add_argument("--count", type=int, default=2000, help="seed count")
     p.add_argument("--format", choices=("json", "csv"), default="json")
@@ -295,8 +299,10 @@ def _fiber_options(p):
 
 def _flow_options(p):
     p.add_argument("--point", required=True, metavar="LIST",
-                   help="real coordinates x1,y1,...,xn,yn")
-    p.add_argument("--t", metavar="LIST", help="comma-separated flow times")
+                   help="real coordinates x1,y1,...,xn,yn (--point=-1,0,... "
+                        "for a leading minus)")
+    p.add_argument("--t", type=_float_list_arg, metavar="LIST",
+                   help="comma-separated flow times")
     p.add_argument("--t-range", nargs=3, type=float, default=(0.5, 2.0, 7.0),
                    metavar=("LO", "HI", "N"), help="evenly spaced flow times")
     p.add_argument("--eps", type=_float_list_arg, default=None,
@@ -320,6 +326,9 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
     Usage and error lines name every subcommand either way, so a parser
     built for the subcommand a call names prints what the full one would.
     """
+    # argparse makes a formatter for every argument it adds, and each one
+    # would read the terminal size; read it once, as HelpFormatter does
+    width = shutil.get_terminal_size().columns - 2
     ap = argparse.ArgumentParser(
         prog="milnorscope",
         description="Fibration structure of diagonal mixed polynomials and "
@@ -329,7 +338,8 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
                "  milnorscope transversality '(x*y + z^2, x) vars x,y,z' --eps 1\n"
                "  milnorscope fiber '(x*y + z^2, x) vars x,y,z' --value 1,0 --eps 3\n"
                "  milnorscope flow 'z1 z1~ + z2^2 z2~^2' --point 1,0,1,0 --t 0.5,1,2\n",
-        formatter_class=argparse.RawDescriptionHelpFormatter)
+        formatter_class=functools.partial(argparse.RawDescriptionHelpFormatter,
+                                          width=width))
     ap.add_argument("--version", action="version", version=__version__)
     # argparse names the subcommand action by its metavar, if set, else by
     # its dest ("argument command: invalid choice"), so the full parser
@@ -339,7 +349,9 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
         metavar=None if command is None else "{" + ",".join(SUBCOMMANDS) + "}")
     for name, (help_text, handler, options) in SUBCOMMANDS.items():
         if command in (None, name):
-            p = sub.add_parser(name, help=help_text)
+            p = sub.add_parser(name, help=help_text,
+                               formatter_class=functools.partial(
+                                   argparse.HelpFormatter, width=width))
             _common(p)
             options(p)
             p.set_defaults(func=handler)

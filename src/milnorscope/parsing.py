@@ -120,12 +120,17 @@ def _signed_items(cur: _Cursor, item) -> list:
             return items
 
 
+def _fraction(text: str) -> Fraction:
+    # Fraction(str) matches a regex; an integer token needs only int()
+    return Fraction(text) if "." in text else Fraction(int(text))
+
+
 def _parse_number(cur: _Cursor) -> Fraction:
     tok = cur.expect("NUM", what="number")
-    val = Fraction(tok[1])
+    val = _fraction(tok[1])
     if cur.accept("OP", "/"):
         den = cur.expect("NUM", what="denominator")
-        d = Fraction(den[1])
+        d = _fraction(den[1])
         if d == 0:
             raise ParseError("division by zero in coefficient", den[2])
         val /= d

@@ -9,8 +9,8 @@ inputs and seed produces byte-identical output.
 
 from __future__ import annotations
 
-import json
 import math
+from json.encoder import encode_basestring
 
 import numpy as np
 
@@ -151,8 +151,9 @@ def fiber_json(sample: FiberSample, include_points: bool = True) -> dict:
         "residual_max": float(sample.residuals.max()) if len(sample.residuals) else 0.0,
     }
     if include_points:
-        out["labels"] = [int(v) for v in sample.labels]
-        out["points"] = [floatlist(p) for p in sample.points]
+        # tolist gives the Python ints and floats that float() and int() would
+        out["labels"] = sample.labels.tolist()
+        out["points"] = sample.points.tolist()
     return out
 
 
@@ -181,16 +182,39 @@ def fiber_csv(sample: FiberSample, var_names) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _finite(obj):
+def _text(obj, ind: str) -> str:
+    """JSON text of obj, indented by two spaces per level below `ind`."""
+    if isinstance(obj, str):
+        return encode_basestring(obj)
+    if obj is None:
+        return "null"
+    if obj is True:
+        return "true"
+    if obj is False:
+        return "false"
     if isinstance(obj, float):
-        return obj if math.isfinite(obj) else None
+        return float.__repr__(obj) if math.isfinite(obj) else "null"
+    if isinstance(obj, int):
+        return int.__repr__(obj)
+    inner = ind + "  "
+    sep = ",\n" + inner
     if isinstance(obj, dict):
-        return {k: _finite(v) for k, v in obj.items()}
+        if not obj:
+            return "{}"
+        body = sep.join([encode_basestring(k) + ": " + _text(v, inner)
+                         for k, v in obj.items()])
+        return "{\n" + inner + body + "\n" + ind + "}"
     if isinstance(obj, (list, tuple)):
-        return [_finite(v) for v in obj]
-    return obj
+        if not obj:
+            return "[]"
+        body = sep.join([_text(v, inner) for v in obj])
+        return "[\n" + inner + body + "\n" + ind + "]"
+    raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
 
 
 def dumps(obj: dict) -> str:
-    """Indented JSON with every non-finite float written as null."""
-    return json.dumps(_finite(obj), indent=2, ensure_ascii=False, allow_nan=False) + "\n"
+    """JSON text indented by two spaces, keys in insertion order, floats by
+    repr, every non-finite float as null and non-ASCII characters as they
+    are: the bytes of `json.dumps(obj, indent=2, ensure_ascii=False)` with
+    non-finite floats first replaced by None.  Keys must be str."""
+    return _text(obj, "") + "\n"

@@ -1,11 +1,15 @@
 """End-to-end command line behavior: exit codes, JSON shapes, determinism."""
 
+import contextlib
 import inspect
+import io
 import json
 import re
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import milnorscope
 from milnorscope import __version__, structure
@@ -187,6 +191,28 @@ def test_fiber_value_dimension_error(capsys):
     assert "--value needs 2 components" in err
 
 
+def test_negative_list_needs_the_equals_form(capsys):
+    # argparse takes "-0.05,0" for an option, not a value: only the
+    # attached form, which README and --help name, passes it
+    for argv in (["fiber", FAILING_MAP, "--value", "-0.05,0"],
+                 ["flow", G, "--point", "-1,0,1,0"]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--no-timing"])
+        captured = capsys.readouterr()
+        assert exc.value.code == 2
+        assert captured.out == ""
+        assert "expected one argument" in captured.err
+    code, out, _ = run(capsys, ["fiber", FAILING_MAP, "--value=-0.05,0", "--compare=-1,0",
+                                "--eps", "3", "--count", "100", "--no-timing"])
+    assert code == 0
+    doc = strict_json(out)["compare"]
+    assert doc["first"]["target"] == [-0.05, 0.0]
+    assert doc["second"]["target"] == [-1.0, 0.0]
+    code, out, _ = run(capsys, ["flow", G, "--point=-1,0,1,0", "--t", "1", "--no-timing"])
+    assert code == 0
+    assert strict_json(out)["samples"][0]["point"] == [-1.0, 0.0, 1.0, 0.0]
+
+
 def test_fiber_bad_numeric_list(capsys):
     code, _, err = run(capsys, ["fiber", FAILING_MAP, "--value", "1,a"])
     assert code == 2
@@ -227,6 +253,9 @@ def test_non_finite_numbers_are_bad_input(capsys, argv):
     ["transversality", FAILING_MAP, "--eps", ""],
     ["analyze", G, "--transversality-eps", ""],
     ["flow", G, "--point", "1,0,1,0", "--eps", ","],
+    # an empty --t must not fall back to the --t-range grid
+    ["flow", G, "--point", "1,0,1,0", "--t", ""],
+    ["flow", G, "--point", "1,0,1,0", "--t", ","],
 ])
 def test_empty_radius_list_is_bad_input(capsys, argv):
     with pytest.raises(SystemExit) as exc:
@@ -408,6 +437,102 @@ def test_subcommand_parser_answers_like_the_full_parser(capsys, command):
         assert got == want, argv
         assert got[0] in (0, 2), argv
         assert (got[1] if got[0] == 0 else got[2]) != "", argv
+
+
+def test_help_follows_the_terminal_width(capsys, monkeypatch):
+    # argparse never breaks inside one bracketed usage group, so a usage
+    # line may overrun the width by that group alone
+    texts = []
+    for columns in (40, 200):
+        monkeypatch.setenv("COLUMNS", str(columns))
+        with pytest.raises(SystemExit):
+            main(["analyze", "--help"])
+        texts.append(capsys.readouterr().out)
+        usage, rest = texts[-1].split("\n\n", 1)
+        for line in usage.splitlines():
+            assert len(line) <= columns or line.lstrip().count("[") == 1, line
+        for line in rest.splitlines():
+            assert len(line) <= columns, line
+    assert texts[0] != texts[1]
+
+
+# inputs from a small token grammar: diagonal mixed polynomials in
+# z1..zn, the same with one token of the grammar (or one it does not
+# know) put in somewhere, and soups of all those tokens
+_COEFFS = ["", "2", "3", "1/2", "0.5", "i", "(1+i)", "(2-3/4i)", "(-i)"]
+_BROKEN = ["+", "-", "^", "(", ")", "~", "z", "z0", "conj(", "vars=2", "vars=", "vars x",
+           ",", "@", "1/", "x", "1.5.2", "^-1", "i i", "z1", "z2~", "0", "1/0"]
+
+
+@st.composite
+def _polynomials(draw):
+    n = draw(st.integers(1, 3))
+    terms = []
+    for j in draw(st.permutations(range(1, n + 1))):
+        a, b = draw(st.tuples(st.integers(0, 4), st.integers(0, 4))
+                    .filter(lambda ab: sum(ab) > 0))
+        parts = [f"z{j}" + (f"^{a}" if a > 1 else "")] if a else []
+        if b:
+            parts.append(draw(st.sampled_from([f"z{j}~", f"conj(z{j})"]))
+                         + (f"^{b}" if b > 1 else ""))
+        sign = draw(st.sampled_from(["+", "-"]))
+        terms += [sign, draw(st.sampled_from(_COEFFS)), *draw(st.permutations(parts))]
+    return n, " ".join(t for t in terms[1:] if t) if terms[0] == "+" else " ".join(terms)
+
+
+@st.composite
+def _polynomial_texts(draw):
+    n, text = draw(_polynomials())
+    kind = draw(st.sampled_from(["valid", "valid", "one token", "soup"]))
+    if kind == "one token":
+        tokens = text.split()
+        tokens.insert(draw(st.integers(0, len(tokens))), draw(st.sampled_from(_BROKEN)))
+        text = " ".join(tokens)
+    elif kind == "soup":
+        text = " ".join(draw(st.lists(st.sampled_from(_COEFFS + _BROKEN), min_size=1,
+                                      max_size=6)))
+    return n, text
+
+
+@st.composite
+def _number_lists(draw, size):
+    items = draw(st.lists(st.sampled_from(["0", "1", "-1", "0.5", "2", "-0", "1e300", "3e-5"]),
+                          min_size=size, max_size=size))
+    if draw(st.integers(0, 3)) == 0:
+        items.insert(draw(st.integers(0, size)), draw(st.sampled_from(["x", "nan", "", "1,,"])))
+    return ",".join(items)
+
+
+@st.composite
+def _cli_calls(draw):
+    n, text = draw(_polynomial_texts())
+    if draw(st.booleans()):
+        return ["analyze", text]
+    size = draw(st.one_of(st.just(2 * n), st.just(2 * n), st.integers(1, 6)))
+    argv = ["flow", text, "--point=" + draw(_number_lists(size))]
+    if draw(st.booleans()):
+        argv.append("--t=" + draw(_number_lists(draw(st.integers(1, 3)))))
+    return argv
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(_cli_calls())
+def test_cli_answers_with_a_report_or_a_stated_error(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        # any exception but argparse's SystemExit fails the test as a traceback
+        try:
+            code = main(argv + ["--no-timing"])
+        except SystemExit as exc:
+            code = exc.code
+    out, err = out.getvalue(), err.getvalue()
+    assert code in (0, 2), argv
+    if code == 0:
+        strict_json(out)
+        assert err == ""
+    else:
+        assert out == ""
+        assert "error:" in err
 
 
 def test_version_flag(capsys):
