@@ -109,70 +109,52 @@ def phase(psi: DiagonalMixedPolynomial, z) -> complex:
 
 
 # ----------------------------------------------------------------------
-# damped Gauss-Newton, for fibers and for the tangency search
+# damped Gauss-Newton: the one solver of every numeric step, for fibers
+# and for the tangency search, level solves and v_min of transversality
 
 
-def _backtrack(trial, better, X: np.ndarray, V: np.ndarray, D: np.ndarray,
-               step: np.ndarray, tries: np.ndarray, levels: int, shrink: float
-               ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Batched backtracking line search from the rows of X along -D.
-
-    Rows with `tries` set propose X - step * D; `trial` maps proposals to
-    points and values, and `better(values, old values, rows of the batch)`
-    accepts some.  An accepted row is not tried again; a rejected row's
-    step is multiplied by `shrink` in place.  `trial` runs at most
-    `levels` times.  Returns which rows moved and the new points and
-    values; rows that did not move keep X and V.
-    """
-    moved = np.zeros(len(X), dtype=bool)
-    newX = X.copy()
-    newV = V.copy()
-    for _ in range(levels):
-        rows = np.where(tries & ~moved)[0]
-        if rows.size == 0:
-            break
-        T, vT = trial(X[rows] - step[rows, None] * D[rows])
-        ok = better(vT, V[rows], rows)
-        newX[rows[ok]] = T[ok]
-        newV[rows[ok]] = vT[ok]
-        moved[rows[ok]] = True
-        step[rows[~ok]] *= shrink
-    return moved, newX, newV
-
-
-def _newton_batch(residual, jacobian, X: np.ndarray, tol: float, max_iter: int
-                  ) -> tuple[np.ndarray, np.ndarray]:
+def newton_batch(residual, jacobian, X: np.ndarray, max_iter: int
+                 ) -> tuple[np.ndarray, np.ndarray]:
     """Vectorised damped Gauss-Newton toward the zeros of a batched system.
 
     `residual` maps (N, k) points to (N, m) residuals and `jacobian` to
     (N, m, k) Jacobians, row by row; the Jacobian is evaluated only at
-    accepted iterates.  Pseudo-inverse steps (minimum-norm for
-    underdetermined systems) are halved until |R| decreases, so a trial
-    whose residual is not finite is rejected, without a warning.  A point
-    stops at |R| <= tol, when no step helps, or when its step is not
-    finite.  Returns the final points and their residual norms.
+    accepted iterates.  Each row tries its pseudo-inverse step (minimum-norm
+    for underdetermined systems) at 1, 1/2, ..., 1/2048 of its length until
+    |R| falls strictly, so a trial whose residual is not finite is
+    rejected, without a warning.  A point stops at |R| <= NEWTON_TOL, when no step helps, or
+    when its Jacobian or step is not finite (it is then never tried).
+    Returns the final points and their residual norms.
     """
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         X = np.array(X, dtype=float)
         R = residual(X)
         rn = np.linalg.norm(R, axis=1)
-        active = rn > tol
+        active = rn > NEWTON_TOL
         for _ in range(max_iter):
             idx = np.where(active)[0]
             if idx.size == 0:
                 break
             A = jacobian(X[idx])
-            bad = ~np.all(np.isfinite(A), axis=(1, 2))
-            A[bad] = 0.0
-            delta = (np.linalg.pinv(A) @ (R[idx][:, :, None]))[:, :, 0]
-            bad |= ~np.all(np.isfinite(delta), axis=1)
-            delta[bad] = 0.0
-            moved, X[idx], R[idx] = _backtrack(
-                lambda T: (T, residual(T)),
-                lambda RT, R0, _: np.linalg.norm(RT, axis=1) < np.linalg.norm(R0, axis=1),
-                X[idx], R[idx], delta, np.ones(idx.size), ~bad, 12, 0.5)
-            rn[idx] = np.linalg.norm(R[idx], axis=1)
-            active[idx] = moved & (rn[idx] > tol)
+            finite = np.all(np.isfinite(A), axis=(1, 2))
+            A[~finite] = 0.0
+            D = (np.linalg.pinv(A) @ (R[idx][:, :, None]))[:, :, 0]
+            finite &= np.all(np.isfinite(D), axis=1)
+            rows, D = idx[finite], D[finite]
+            active[idx] = False
+            step = 1.0
+            for _ in range(12):
+                if rows.size == 0:
+                    break
+                T = X[rows] - step * D
+                RT = residual(T)
+                tn = np.linalg.norm(RT, axis=1)
+                ok = tn < rn[rows]
+                moved = rows[ok]
+                X[moved], R[moved], rn[moved] = T[ok], RT[ok], tn[ok]
+                active[moved] = tn[ok] > NEWTON_TOL
+                rows, D = rows[~ok], D[~ok]
+                step *= 0.5
     return X, rn
 
 
@@ -313,7 +295,8 @@ def sample_fiber(f: RealPolynomialMap, c, eps: float,
     read off the same tree.  Fewer than 10 kept points set the
     `unreliable` flag.  Points where the Jacobian is nearly
     rank-deficient (singular-value ratio below 1e-8) are counted in
-    singular_count.  eps must be positive and finite, and c finite.
+    singular_count.  eps must be positive and finite, c finite and
+    rng_seed a non-negative integer.
     """
     sampling.check_positive("eps", eps)
     c = np.asarray(c, dtype=float)
@@ -321,9 +304,10 @@ def sample_fiber(f: RealPolynomialMap, c, eps: float,
         raise ValueError("target value has wrong dimension")
     if not np.all(np.isfinite(c)):
         raise ValueError("target value must be finite")
+    sampling.check_seed(rng_seed)
     seeds = sampling.ball_points(f.n, count, eps, rng_seed)
-    X, rn = _newton_batch(lambda X: f.eval_many(X) - c, f.grad_many, seeds,
-                          NEWTON_TOL, NEWTON_MAX_ITER)
+    X, rn = newton_batch(lambda X: f.eval_many(X) - c, f.grad_many, seeds,
+                         NEWTON_MAX_ITER)
     keep = (rn <= NEWTON_TOL) & (np.linalg.norm(X, axis=1) <= eps)
     pts = X[keep]
     res = rn[keep]

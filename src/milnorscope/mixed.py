@@ -29,8 +29,11 @@ class ComplexRational:
     im: Fraction
 
     def __post_init__(self):
-        object.__setattr__(self, "re", Fraction(self.re))
-        object.__setattr__(self, "im", Fraction(self.im))
+        # the arithmetic below already yields Fractions; wrap only the rest
+        if type(self.re) is not Fraction:
+            object.__setattr__(self, "re", Fraction(self.re))
+        if type(self.im) is not Fraction:
+            object.__setattr__(self, "im", Fraction(self.im))
 
     def __add__(self, other: "ComplexRational") -> "ComplexRational":
         return ComplexRational(self.re + other.re, self.im + other.im)

@@ -6,8 +6,8 @@ manipulation (partial derivatives, evaluation at rational points) is
 exact.  Floating point enters only in the compiled evaluators used for
 numerics, which are vectorised over batches of points.
 
-`eval_many` and `grad_many` run one kernel, compiled once per map (and
-once for its Jacobian entries) by `_flatten`:
+`eval_many` and `grad_many` run one kernel, compiled once per map by
+`_flatten`; `grad_many` runs the kernel of the map's `derivative`:
 
 - a power table: the distinct (variable, exponent >= 1) pairs that occur,
   plus a ones column, raised with one array-exponent `np.power` per call;
@@ -161,9 +161,10 @@ class RealPolynomialMap:
         return _flatten(self.components, self.n)
 
     @functools.cached_property
-    def _compiled_grad(self):
-        return _flatten([self.partial(i, j) for i in range(self.p) for j in range(self.n)],
-                        self.n)
+    def derivative(self) -> RealPolynomialMap:
+        """The p*n partials d f_i / d x_j, row by row, as one map."""
+        return RealPolynomialMap(self.n, [self.partial(i, j) for i in range(self.p)
+                                          for j in range(self.n)], self.var_names)
 
     def _evaluate(self, X, compiled, shape: tuple[int, ...]) -> np.ndarray:
         X = np.asarray(X, dtype=float)
@@ -190,7 +191,7 @@ class RealPolynomialMap:
 
     def grad_many(self, X: np.ndarray) -> np.ndarray:
         """Jacobians at a batch of points.  X is (N, n); returns (N, p, n)."""
-        return self._evaluate(X, self._compiled_grad, (self.p, self.n))
+        return self._evaluate(X, self.derivative._compiled, (self.p, self.n))
 
     # ------------------------------------------------------------------
 

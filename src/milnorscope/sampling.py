@@ -17,6 +17,12 @@ def check_positive(name: str, value: float) -> None:
         raise ValueError(f"{name} must be positive and finite, got {value!r}")
 
 
+def check_seed(rng_seed: int) -> None:
+    """Raise ValueError unless `rng_seed` is a non-negative integer."""
+    if not isinstance(rng_seed, (int, np.integer)) or rng_seed < 0:
+        raise ValueError(f"rng_seed must be a non-negative integer, got {rng_seed!r}")
+
+
 def _sobol(d: int, count: int, seed: int) -> np.ndarray:
     # draw a full power-of-two block (balance property), keep the prefix
     sob = qmc.Sobol(d=d, scramble=True, seed=seed)

@@ -13,7 +13,7 @@ it either certifies a sequence of tangency points with |f| shrinking to
 zero (transversality fails) or stops with a positive margin (it holds at
 the given search budget).  The minimum of |f| on the sphere comes from
 Gauss-Newton on (f, |x|^2 - eps^2) from the lowest samples.  Every
-numeric step runs on the one solver, `fiber._newton_batch`.
+numeric step runs on the one solver, `fiber.newton_batch`.
 
 Tangency points where the gradient rows alone are already dependent
 sit on the critical set of f; their values are critical values, whose
@@ -32,7 +32,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import sampling
-from .fiber import NEWTON_MAX_ITER, NEWTON_TOL, _newton_batch
+from .fiber import NEWTON_MAX_ITER, newton_batch
 from .mixed import DiagonalMixedPolynomial
 from .realpoly import RealPolynomialMap, minors_exact
 from .structure import SpecialFamilyForm, special_family_form
@@ -133,7 +133,6 @@ def _tangency_system(f: RealPolynomialMap, eps: float, t: float | None = None):
     vanishes.
     """
     n, p = f.n, f.p
-    hessians = RealPolynomialMap(n, [f.partial(i, j) for i in range(p) for j in range(n)])
 
     def unit_gradients(J):
         norms = np.linalg.norm(J, axis=2, keepdims=True)
@@ -154,7 +153,7 @@ def _tangency_system(f: RealPolynomialMap, eps: float, t: float | None = None):
         X, w = Y[:, :n], Y[:, n:]
         J = f.grad_many(X)
         G, norms = unit_gradients(J)
-        H = hessians.grad_many(X).reshape(len(Y), p, n, n)
+        H = f.derivative.grad_many(X).reshape(len(Y), p, n, n)
         dG = (H - G[:, :, :, None] * (G[:, :, None, :] @ H)) / norms[:, :, :, None]
         A = np.zeros((len(Y), n + 2 + (t is not None), n + p + 1))
         A[:, :n, :n] = np.sum(w[:, :p, None, None] * dG, axis=1) + w[:, p:, None] * np.eye(n) / eps
@@ -178,7 +177,7 @@ def _solve_tangency(system, f: RealPolynomialMap, X: np.ndarray, eps: float,
     with np.errstate(over="ignore", invalid="ignore"):
         Mh, _ = _normalized(_matrices(f, X))
     w = np.linalg.svd(Mh, full_matrices=False)[0][:, :, -1]
-    Y, _ = _newton_batch(*system, np.hstack([X, w]), NEWTON_TOL, max_iter)
+    Y, _ = newton_batch(*system, np.hstack([X, w]), max_iter)
     return _project(Y[:, :f.n], eps)
 
 
@@ -237,11 +236,13 @@ def search_tangency_locus(f: RealPolynomialMap, eps: float, *,
     distance.  Points whose gradient rows are themselves
     dependent are reported separately as critical hits.  `extra_seeds`
     adds caller chosen start points (projected to the sphere) to the
-    multistart.  Raises ValueError where a gradient row of f overflows.
+    multistart.  Raises ValueError where a gradient row of f overflows, or
+    when rng_seed is not a non-negative integer.
     """
     sampling.check_positive("eps", eps)
     if f.n <= f.p:
         raise ValueError("need more variables than components")
+    sampling.check_seed(rng_seed)
     X = sampling.sphere_points(f.n, seeds, eps, rng_seed)
     if extra_seeds is not None:
         P = np.asarray(extra_seeds, dtype=float).reshape(-1, f.n)
@@ -366,9 +367,9 @@ def falsify_transversality(f: RealPolynomialMap, eps: float, *,
     statement that every regular-fiber tangency found keeps |f| above
     the margin (default: 1e-2 times the median of |f| on the sphere).
     eps, seeds, the tolerances and a given margin must be positive and
-    finite, and iters at least zero.  Raises ValueError when |f|^2
-    overflows at some of the sphere samples, or a gradient row of f where
-    the search evaluates it.
+    finite, iters at least zero and rng_seed a non-negative integer.
+    Raises ValueError when |f|^2 overflows at some of the sphere samples,
+    or a gradient row of f where the search evaluates it.
     """
     given = {"eps": eps, "seeds": seeds, "tol_tangency": tol_tangency,
              "tol_v": tol_v, "margin": margin}
@@ -377,6 +378,7 @@ def falsify_transversality(f: RealPolynomialMap, eps: float, *,
             sampling.check_positive(name, value)
     if iters < 0:
         raise ValueError(f"iters must be zero or positive and finite, got {iters!r}")
+    sampling.check_seed(rng_seed)
     rng = np.random.default_rng(rng_seed + 7919)
     sample = sampling.sphere_points(f.n, 2048, eps, rng_seed + 101)
     # overflow here is stated below, so numpy need not warn about it
@@ -402,8 +404,8 @@ def falsify_transversality(f: RealPolynomialMap, eps: float, *,
     def on_v_jacobian(X):
         return np.concatenate([f.grad_many(X), X[:, None, :] / eps], axis=1)
 
-    refined, _ = _newton_batch(on_v, on_v_jacobian, sample[np.argsort(fvals)[:16]],
-                               NEWTON_TOL, NEWTON_MAX_ITER)
+    refined, _ = newton_batch(on_v, on_v_jacobian, sample[np.argsort(fvals)[:16]],
+                              NEWTON_MAX_ITER)
     v_min = float(min(fvals.min(), _fnorm(f, _project(refined, eps)).min()))
 
     locus = search_tangency_locus(

@@ -144,6 +144,16 @@ def test_transversality_rejects_negative_radius(capsys):
     assert err.startswith("error:")
 
 
+@pytest.mark.parametrize("argv", [
+    ["transversality", FAILING_MAP, "--eps", "1", "--rng-seed", "-1"] + FAST,
+    ["fiber", FAILING_MAP, "--value", "1,0", "--eps", "3", "--rng-seed", "-1", "--no-timing"],
+], ids=["transversality", "fiber"])
+def test_negative_rng_seed_is_bad_input(capsys, argv):
+    code, out, err = run(capsys, argv)
+    assert (code, out) == (2, "")
+    assert err == "error: rng_seed must be a non-negative integer, got -1\n"
+
+
 # ----------------------------------------------------------------------
 # fiber
 

@@ -19,7 +19,7 @@ from milnorscope import (
     rplus_flow,
     sample_fiber,
 )
-from milnorscope.fiber import NEWTON_MAX_ITER, NEWTON_TOL, _cut_labels, _mst, _newton_batch
+from milnorscope.fiber import NEWTON_MAX_ITER, NEWTON_TOL, _cut_labels, _mst, newton_batch
 
 FAILING_MAP = parse_real_map("(x*y + z^2, x) vars x,y,z")
 G_MIXED = parse_mixed("z1 z1~ + z2^2 z2~")
@@ -151,8 +151,7 @@ def test_phase_states_overflow():
 
 
 def fiber_newton(c, X, max_iter=NEWTON_MAX_ITER, jacobian=FAILING_MAP.grad_many):
-    return _newton_batch(lambda Y: FAILING_MAP.eval_many(Y) - c, jacobian, X,
-                         NEWTON_TOL, max_iter)
+    return newton_batch(lambda Y: FAILING_MAP.eval_many(Y) - c, jacobian, X, max_iter)
 
 
 def test_newton_converges_to_fiber():

@@ -317,6 +317,18 @@ def test_jacobian_exact_matches_grad_map():
     assert np.allclose([[float(v) for v in row] for row in rows], J)
 
 
+def test_derivative_is_one_map_of_the_partials():
+    f = parse_real_map("(x^2*y - z, y*z^2 + 3) vars x,y,z")
+    d = f.derivative
+    assert d is f.derivative
+    assert (d.n, d.p, d.var_names) == (3, 6, f.var_names)
+    for i in range(f.p):
+        for j in range(f.n):
+            assert d.components[i * f.n + j] == f.partial(i, j)
+    X = np.random.default_rng(5).uniform(-2, 2, size=(7, 3))
+    assert f.grad_many(X).tobytes() == d.eval_many(X).reshape(7, 2, 3).tobytes()
+
+
 def test_exact_layer_rejects_wrong_dimension():
     f = parse_real_map("(x*y + z^2, x) vars x,y,z")
     for evaluate in (f.eval_exact, f.jacobian_exact):

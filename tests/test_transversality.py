@@ -13,17 +13,19 @@ from milnorscope import (
     ComplexRational,
     DiagonalMixedPolynomial,
     MixedTerm,
+    RealPolynomialMap,
     TransversalityVerdict,
     falsify_transversality,
     parse_mixed,
     parse_real_map,
     search_tangency_locus,
+    sample_fiber,
     special_family_claim_check,
     special_family_minor,
     tangency_minors_exact,
 )
 from milnorscope import sampling
-from milnorscope.fiber import NEWTON_TOL, _backtrack, _newton_batch
+from milnorscope.fiber import NEWTON_TOL, newton_batch
 from milnorscope.realpoly import minors_exact
 from milnorscope.transversality import (_certify, _fnorm, _matrices,
                                         _normalized, _sigma_min, _tangency_system)
@@ -111,6 +113,22 @@ def test_tangency_minors_exact_g():
     assert all(m == 0 for m in ms)
 
 
+@pytest.mark.parametrize("psi", [G_MIXED, H_MIXED], ids=["G", "H"])
+@pytest.mark.parametrize("eps", [1.0, 0.25])
+def test_witness_sigma_bounds_the_exact_minors(psi, eps):
+    # by Cauchy-Binet the root-sum-square of the (p+1)-minors over the
+    # product of the row norms is the product of the row-normalised
+    # singular values, each at most sqrt(p+1): at most 3 sigma for p = 2
+    f = psi.to_real_map()
+    locus = search_tangency_locus(f, eps, seeds=64, iters=200, rng_seed=0)
+    assert locus.witnesses
+    for w in locus.witnesses:
+        xs = [Fraction(v) for v in w.point]
+        norms2 = math.prod(sum(v * v for v in row) for row in f.jacobian_exact(xs) + [xs])
+        minors2 = sum(m * m for m in tangency_minors_exact(f, xs))
+        assert math.sqrt(minors2 / norms2) <= 3 * w.sigma + 1e-14
+
+
 # ----------------------------------------------------------------------
 # locus search
 
@@ -148,6 +166,19 @@ def test_search_extra_seeds_are_kept():
     assert min(dists) < 1e-3
 
 
+def test_negative_rng_seed_is_rejected_before_any_draw(monkeypatch):
+    def no_draw(*args):
+        raise AssertionError("drew before checking the seed")
+
+    monkeypatch.setattr(sampling, "_sobol", no_draw)
+    monkeypatch.setattr(np.random, "default_rng", no_draw)
+    for call in (lambda: sample_fiber(FAILING_MAP, (1.0, 0.0), 1.0, rng_seed=-1),
+                 lambda: search_tangency_locus(FAILING_MAP, 1.0, rng_seed=-1),
+                 lambda: falsify_transversality(FAILING_MAP, 1.0, rng_seed=-1)):
+        with pytest.raises(ValueError, match="^rng_seed must be a non-negative integer, got -1$"):
+            call()
+
+
 def test_search_deduplicates():
     res = search_tangency_locus(FAILING_MAP, 1.0, seeds=64, iters=200, rng_seed=0)
     pts = [w.point for w in res.witnesses]
@@ -160,30 +191,49 @@ def test_search_deduplicates():
 # are when the row runs alone
 
 
-def test_backtrack_contract():
-    # toy field v = x^2 in one variable, steps along -D, shrink 0.5
-    X = np.array([[1.0], [2.0], [3.0], [4.0]])
-    V = X[:, 0] ** 2
-    D = np.array([[1.0], [1.0], [1.0], [-1.0]])
-    step = np.array([2.0, 0.5, 7.0, 1.0])
-    tries = np.array([True, True, False, True])
-    tried = []
+def test_newton_batch_line_search_rule():
+    # R(x) = x0 with a Jacobian chosen per row by the tag x1, so the
+    # step is -x0 / J[0]; every row starts at x0 = 1
+    J = {0.0: [1.0, 0.0], 1.0: [-1.0, 0.0], 2.0: [np.nan, 0.0], 3.0: [0.5, 0.0]}
+    X = np.array([[1.0, tag] for tag in J])
+    calls = []
 
-    def trial(T):
-        tried.append(T[:, 0].tolist())
-        return T, T[:, 0] ** 2
+    def residual(Y):
+        calls.append(Y.tolist())
+        return Y[:, :1].copy()
 
-    moved, newX, newV = _backtrack(trial, lambda v, v0, rows: v < v0, X, V, D,
-                                   step, tries, 3, 0.5)
-    # row 0 overshoots to -1 (rejected), then lands on 0; row 1 is accepted
-    # at once and not tried again; row 2 never tries; row 3 climbs and is
-    # rejected at every level, one shrink each, within the 3 trial calls
-    assert tried == [[-1.0, 1.5, 5.0], [0.0, 4.5], [4.25]]
-    assert moved.tolist() == [True, True, False, False]
-    assert newX[:, 0].tolist() == [0.0, 1.5, 3.0, 4.0]
-    assert newV.tolist() == [0.0, 2.25, 9.0, 16.0]
-    assert step.tolist() == [1.0, 0.5, 7.0, 0.125]
-    assert X[:, 0].tolist() == [1.0, 2.0, 3.0, 4.0] and V.tolist() == [1.0, 4.0, 9.0, 16.0]
+    def jacobian(Y):
+        return np.array([[J[tag]] for tag in Y[:, 1]])
+
+    Z, rn = newton_batch(residual, jacobian, X, 5)
+    # row 0 lands on 0 at the first trial; row 1 climbs to 1 + 2^-k at
+    # each of its 12 trials, k = 0..11, and is never tried again; row 2 (a NaN
+    # Jacobian) never reaches the residual; row 3 first lands on -1, an
+    # equal |R|, which is rejected, then on 0
+    assert calls[0] == X.tolist()
+    assert calls[1] == [[0.0, 0.0], [2.0, 1.0], [-1.0, 3.0]]
+    assert calls[2] == [[1.5, 1.0], [0.0, 3.0]]
+    assert calls[3:] == [[[1.0 + 0.5 ** k, 1.0]] for k in range(2, 12)]
+    assert Z.tolist() == [[0.0, 0.0], [1.0, 1.0], [1.0, 2.0], [0.0, 3.0]]
+    assert rn.tolist() == [0.0, 1.0, 1.0, 0.0]
+
+
+def test_tangency_system_builds_no_map_after_the_first(monkeypatch):
+    # the Hessians come from f.derivative, built once per map
+    Y = np.array([[0.6, 0.0, 0.8, 0.0, 0.0, 0.0, 0.6, 0.0, 0.8]])
+    f = H_MIXED.to_real_map()
+    _tangency_system(f, 1.0, 0.1)[1](Y)
+    built = []
+    init = RealPolynomialMap.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(RealPolynomialMap, "__init__", counting_init)
+    residual, jacobian = _tangency_system(f, 0.25, 0.05)
+    assert np.all(np.isfinite(jacobian(Y))) and np.all(np.isfinite(residual(Y)))
+    assert built == []
 
 
 def jacobian_error(f, eps, system, rng):
@@ -237,7 +287,7 @@ def test_level_solve_keeps_non_finite_starts_without_a_warning():
     for f, x in ((FAILING_MAP, [0.0, 1.0, 0.0]), (big, [8.0, 0.5, 0.0])):
         Y = np.array([x + [0.6, 0.0, 0.8]])
         system = _tangency_system(f, float(np.linalg.norm(x)), 1e-3)
-        Z, rn = _newton_batch(*system, Y, NEWTON_TOL, 10)
+        Z, rn = newton_batch(*system, Y, 10)
         assert np.array_equal(Z, Y) and not np.isfinite(rn[0])
 
 
@@ -247,10 +297,10 @@ def test_tangency_solve_batch_equals_single_rows():
     w = np.linalg.svd(_normalized(_matrices(h_map, X))[0], full_matrices=False)[0][:, :, -1]
     Y = np.hstack([X, w])
     system = _tangency_system(h_map, 1.0)
-    batch = _newton_batch(*system, Y, NEWTON_TOL, 40)
+    batch = newton_batch(*system, Y, 40)
     assert np.all(batch[1] <= NEWTON_TOL)
     for k in range(len(Y)):
-        single = _newton_batch(*system, Y[k:k + 1], NEWTON_TOL, 40)
+        single = newton_batch(*system, Y[k:k + 1], 40)
         for b, s in zip(batch, single):
             assert np.array_equal(b[k], s[0])
 
