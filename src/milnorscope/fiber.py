@@ -113,6 +113,34 @@ def phase(psi: DiagonalMixedPolynomial, z) -> complex:
 # and for the tangency search, level solves and v_min of transversality
 
 
+def _pinv_step(A: np.ndarray, R: np.ndarray) -> np.ndarray:
+    return (np.linalg.pinv(A) @ R[:, :, None])[:, :, 0]
+
+
+def _min_norm_step(A: np.ndarray, R: np.ndarray) -> np.ndarray:
+    """The pseudo-inverse step pinv(A) @ R of each (m, k) matrix of a stack.
+
+    Where m <= k and A has full row rank, the reduced QR factorisation
+    A^T = Q T gives the minimum-norm solution Q T^{-T} R (Bjorck 1996,
+    Numerical Methods for Least Squares Problems, 1.3 and 2.7): one
+    Householder sweep per matrix where pinv runs an SVD.  A matrix with
+    min |T_ii| <= 1e-8 max |T_ii| (rank-deficient, or all zeros), and
+    every matrix of a stack with m > k, takes pinv's step, bit for bit.
+    Each row of the result depends only on its own matrix.
+    """
+    if A.shape[1] > A.shape[2]:
+        return _pinv_step(A, R)
+    Q, T = np.linalg.qr(A.transpose(0, 2, 1))
+    d = np.abs(np.diagonal(T, axis1=1, axis2=2))
+    full = d.min(axis=1) > 1e-8 * d.max(axis=1)
+    D = np.empty((len(A), A.shape[2]))
+    if not full.all():
+        D[~full] = _pinv_step(A[~full], R[~full])
+        Q, T, R = Q[full], T[full], R[full]
+    D[full] = (Q @ np.linalg.solve(T.transpose(0, 2, 1), R[:, :, None]))[:, :, 0]
+    return D
+
+
 def newton_batch(residual, jacobian, X: np.ndarray, max_iter: int
                  ) -> tuple[np.ndarray, np.ndarray]:
     """Vectorised damped Gauss-Newton toward the zeros of a batched system.
@@ -120,10 +148,11 @@ def newton_batch(residual, jacobian, X: np.ndarray, max_iter: int
     `residual` maps (N, k) points to (N, m) residuals and `jacobian` to
     (N, m, k) Jacobians, row by row; the Jacobian is evaluated only at
     accepted iterates.  Each row tries its pseudo-inverse step (minimum-norm
-    for underdetermined systems) at 1, 1/2, ..., 1/2048 of its length until
-    |R| falls strictly, so a trial whose residual is not finite is
-    rejected, without a warning.  A point stops at |R| <= NEWTON_TOL, when no step helps, or
-    when its Jacobian or step is not finite (it is then never tried).
+    for underdetermined systems; see `_min_norm_step`) at 1, 1/2, ...,
+    1/2048 of its length until |R| falls strictly, so a trial whose
+    residual is not finite is rejected, without a warning.  A point stops
+    at |R| <= NEWTON_TOL, when no step helps, or when its Jacobian or step
+    is not finite (it is then never tried).
     Returns the final points and their residual norms.
     """
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
@@ -138,7 +167,7 @@ def newton_batch(residual, jacobian, X: np.ndarray, max_iter: int
             A = jacobian(X[idx])
             finite = np.all(np.isfinite(A), axis=(1, 2))
             A[~finite] = 0.0
-            D = (np.linalg.pinv(A) @ (R[idx][:, :, None]))[:, :, 0]
+            D = _min_norm_step(A, R[idx])
             finite &= np.all(np.isfinite(D), axis=1)
             rows, D = idx[finite], D[finite]
             active[idx] = False
@@ -295,10 +324,11 @@ def sample_fiber(f: RealPolynomialMap, c, eps: float,
     read off the same tree.  Fewer than 10 kept points set the
     `unreliable` flag.  Points where the Jacobian is nearly
     rank-deficient (singular-value ratio below 1e-8) are counted in
-    singular_count.  eps must be positive and finite, c finite and
-    rng_seed a non-negative integer.
+    singular_count.  eps and count must be positive and finite, c finite
+    and rng_seed a non-negative integer.
     """
     sampling.check_positive("eps", eps)
+    sampling.check_positive("count", count)
     c = np.asarray(c, dtype=float)
     if c.shape != (f.p,):
         raise ValueError("target value has wrong dimension")

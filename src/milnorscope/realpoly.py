@@ -122,7 +122,6 @@ class RealPolynomialMap:
             if len(set(var_names)) != self.n:
                 raise ValueError("duplicate variable name")
         self.var_names = var_names
-        self._partials: dict[tuple[int, int], dict[tuple[int, ...], Fraction]] = {}
 
     # ------------------------------------------------------------------
     # exact layer
@@ -139,13 +138,11 @@ class RealPolynomialMap:
 
     def partial(self, i: int, j: int) -> dict[tuple[int, ...], Fraction]:
         """Sparse dict of d f_i / d x_j (0-based indices)."""
-        key = (i, j)
-        if key not in self._partials:
-            # distinct monomials have distinct, nonzero derivatives
-            self._partials[key] = {
-                expo[:j] + (expo[j] - 1,) + expo[j + 1:]: coeff * expo[j]
-                for expo, coeff in self.components[i].items() if expo[j]}
-        return self._partials[key]
+        if not 0 <= i < self.p:
+            raise ValueError(f"component index i = {i} is out of range 0..{self.p - 1}")
+        if not 0 <= j < self.n:
+            raise ValueError(f"variable index j = {j} is out of range 0..{self.n - 1}")
+        return self.derivative.components[i * self.n + j]
 
     def jacobian_exact(self, x: Sequence[Fraction]) -> list[list[Fraction]]:
         """Exact p-by-n Jacobian matrix at a rational point."""
@@ -163,8 +160,11 @@ class RealPolynomialMap:
     @functools.cached_property
     def derivative(self) -> RealPolynomialMap:
         """The p*n partials d f_i / d x_j, row by row, as one map."""
-        return RealPolynomialMap(self.n, [self.partial(i, j) for i in range(self.p)
-                                          for j in range(self.n)], self.var_names)
+        # distinct monomials have distinct, nonzero derivatives
+        return RealPolynomialMap(self.n, [
+            {expo[:j] + (expo[j] - 1,) + expo[j + 1:]: coeff * expo[j]
+             for expo, coeff in comp.items() if expo[j]}
+            for comp in self.components for j in range(self.n)], self.var_names)
 
     def _evaluate(self, X, compiled, shape: tuple[int, ...]) -> np.ndarray:
         X = np.asarray(X, dtype=float)

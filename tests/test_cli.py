@@ -246,6 +246,8 @@ def test_fiber_bad_numeric_list(capsys):
     ["transversality", FAILING_MAP, "--eps", "1", "--tol-v", "nan"],
     ["transversality", FAILING_MAP, "--eps", "1", "--tol-tangency", "inf"],
     ["transversality", FAILING_MAP, "--eps", "1", "--iters", "-5"],
+    ["fiber", FAILING_MAP, "--value", "1,0", "--eps", "3", "--count", "0"],
+    ["fiber", FAILING_MAP, "--value", "1,0", "--eps", "3", "--count", "-3"],
 ])
 def test_non_finite_numbers_are_bad_input(capsys, argv):
     # list options parsed by argparse exit through SystemExit
@@ -257,6 +259,9 @@ def test_non_finite_numbers_are_bad_input(capsys, argv):
     assert code == 2
     assert captured.out == ""
     assert "finite" in captured.err
+    if "--count" in argv:
+        count = argv[argv.index("--count") + 1]
+        assert captured.err == f"error: count must be positive and finite, got {count}\n"
 
 
 @pytest.mark.parametrize("argv", [

@@ -5,6 +5,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.spatial import cKDTree
 from scipy.spatial.distance import cdist
 
@@ -18,8 +20,16 @@ from milnorscope import (
     radial_weights,
     rplus_flow,
     sample_fiber,
+    sampling,
 )
-from milnorscope.fiber import NEWTON_MAX_ITER, NEWTON_TOL, _cut_labels, _mst, newton_batch
+from milnorscope.fiber import (
+    NEWTON_MAX_ITER,
+    NEWTON_TOL,
+    _cut_labels,
+    _min_norm_step,
+    _mst,
+    newton_batch,
+)
 
 FAILING_MAP = parse_real_map("(x*y + z^2, x) vars x,y,z")
 G_MIXED = parse_mixed("z1 z1~ + z2^2 z2~")
@@ -199,12 +209,83 @@ def test_newton_takes_jacobians_only_at_accepted_iterates():
 
 
 # ----------------------------------------------------------------------
+# the minimum-norm step
+
+
+def pinv_step(A, R):
+    return (np.linalg.pinv(A) @ R[:, :, None])[:, :, 0]
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(st.integers(1, 10), st.integers(0, 9), st.integers(1, 64),
+       st.integers(0, 2 ** 32 - 1))
+def test_min_norm_step_matches_pinv_on_full_row_rank(m, extra, count, seed):
+    # A = U diag(s) V^T with singular values in [1, 100]: full row rank,
+    # condition number at most 100
+    k = min(m + extra, 10)
+    rng = np.random.default_rng(seed)
+    U = np.linalg.qr(rng.standard_normal((count, m, m)))[0]
+    V = np.linalg.qr(rng.standard_normal((count, k, m)))[0]
+    s = 10.0 ** rng.uniform(0.0, 2.0, (count, 1, m))
+    A = (U * s) @ V.transpose(0, 2, 1)
+    R = rng.standard_normal((count, m))
+    D, P = _min_norm_step(A, R), pinv_step(A, R)
+    assert np.all(np.abs(D - P) <= 1e-10 * np.max(np.abs(P), axis=1, keepdims=True))
+
+
+def test_min_norm_step_takes_pinv_bits_where_rows_are_dependent():
+    rng = np.random.default_rng(5)
+    A = rng.standard_normal((4, 3, 5))
+    A[0, 2] = A[0, 0]                     # a duplicated row
+    A[1] = 0.0                            # all zeros
+    R = rng.standard_normal((4, 3))
+    D, P = _min_norm_step(A, R), pinv_step(A, R)
+    assert np.array_equal(D[:2], P[:2])
+    assert not np.array_equal(D[2:], P[2:])
+    assert np.allclose(D[2:], P[2:], rtol=1e-10, atol=0)
+    tall = rng.standard_normal((3, 5, 4))  # more equations than unknowns
+    R = rng.standard_normal((3, 5))
+    assert np.array_equal(_min_norm_step(tall, R), pinv_step(tall, R))
+
+
+def test_min_norm_step_batch_equals_single_rows():
+    rng = np.random.default_rng(6)
+    A = rng.standard_normal((9, 5, 6))
+    A[3, 4] = A[3, 1]
+    A[7] = 0.0
+    R = rng.standard_normal((9, 5))
+    D = _min_norm_step(A, R)
+    for k in range(len(A)):
+        assert np.array_equal(D[k], _min_norm_step(A[k:k + 1], R[k:k + 1])[0])
+
+
+def test_fiber_newton_takes_no_pinv_step(monkeypatch):
+    # FAILING_MAP's Jacobian rows (y, x, 2z) and (1, 0, 0) are independent
+    # off the x-axis, so every step of a fiber sample runs on the QR path
+    pinv_rows = []
+    pinv = np.linalg.pinv
+
+    def counting_pinv(A, *args, **kwargs):
+        pinv_rows.append(len(A))
+        return pinv(A, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "pinv", counting_pinv)
+    seeds = sampling.ball_points(3, 500, 3.0, 0)
+    _, rn = fiber_newton(np.array([1.0, 0.0]), seeds)
+    assert sum(pinv_rows) == 0
+    assert np.count_nonzero(rn <= NEWTON_TOL) > 400
+
+
+# ----------------------------------------------------------------------
 # fiber sampling
 
 
 def test_sample_fiber_rejects_bad_input():
     with pytest.raises(ValueError, match="positive"):
         sample_fiber(FAILING_MAP, (1.0, 0.0), 0.0)
+    for count in (0, -3):
+        with pytest.raises(ValueError, match=f"count must be positive and finite, got {count}"):
+            sample_fiber(FAILING_MAP, (1.0, 0.0), 1.0, count=count)
     with pytest.raises(ValueError, match="dimension"):
         sample_fiber(FAILING_MAP, (1.0, 0.0, 0.0), 1.0)
     for bad in (math.nan, math.inf):

@@ -329,6 +329,21 @@ def test_derivative_is_one_map_of_the_partials():
     assert f.grad_many(X).tobytes() == d.eval_many(X).reshape(7, 2, 3).tobytes()
 
 
+def test_partial_indices_are_checked():
+    f = parse_real_map("(x^2*y - z, y*z^2 + 3) vars x,y,z")
+    assert f.partial(0, 0) == {(1, 1, 0): 2}
+    assert f.partial(1, 2) == {(0, 1, 1): 2}
+    # i * n + j would read d f_1 / d x_0 for (-1, 0) and (0, 3)
+    with pytest.raises(ValueError, match="component index i = -1"):
+        f.partial(-1, 0)
+    with pytest.raises(ValueError, match="component index i = 2"):
+        f.partial(2, 0)
+    with pytest.raises(ValueError, match="variable index j = 3"):
+        f.partial(0, 3)
+    with pytest.raises(ValueError, match="variable index j = -1"):
+        f.partial(0, -1)
+
+
 def test_exact_layer_rejects_wrong_dimension():
     f = parse_real_map("(x*y + z^2, x) vars x,y,z")
     for evaluate in (f.eval_exact, f.jacobian_exact):

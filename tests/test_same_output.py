@@ -68,3 +68,39 @@ def test_job_runner_records_stderr():
     assert flow["stderr"].startswith("error: --t-range N must be a positive integer")
     assert bogus["exit"] == 2
     assert "unrecognized arguments: --bogus" in bogus["stderr"]
+
+
+def test_decisions_ignore_floats_and_stderr():
+    def doc(f_norm, witnesses, verdict="FailsWithWitness", count=2):
+        return json.dumps({
+            "aggregate_verdict": verdict,
+            "reports": [{"verdict": verdict, "eps": 0.25, "locus_count": 3,
+                         "witnesses": [{"f_norm": f_norm}] * witnesses}],
+            "fiber": {"converged": 1500, "component_count": count, "singular_count": 0,
+                      "nn_median": f_norm, "points": [[f_norm, 0.0]]}})
+
+    a = {"exit": 0, "stdout": doc(0.5, 2), "stderr": ""}
+    moved = dict(a, stdout=doc(0.5000000000000001, 2), stderr="warning\n")
+    assert field(a, moved) == "stdout.reports[0].witnesses[0].f_norm"
+    assert field(a, moved, decisions=True) is None
+    assert field(a, dict(a, stdout=doc(0.5, 3)), decisions=True) == \
+        "stdout.reports[0].witnesses (count)"
+    assert field(a, dict(a, stdout=doc(0.5, 2, "Inconclusive")), decisions=True) == \
+        "stdout.aggregate_verdict"
+    assert field(a, dict(a, stdout=doc(0.5, 2, count=1)), decisions=True) == \
+        "stdout.fiber.component_count"
+    assert field(a, dict(a, exit=2), decisions=True) == "exit (0 vs 2)"
+    csv = {"exit": 0, "stdout": "x,y\n0.5,0.0\n", "stderr": ""}
+    assert field(csv, dict(csv, stdout="x,y\n0.25,0.0\n"), decisions=True) == "stdout"
+    error = {"exit": 2, "stdout": "", "stderr": "error: a\n"}
+    assert field(error, dict(error, stderr="error: b\n"), decisions=True) is None
+
+
+def test_decision_fields_keep_only_decisions():
+    doc = {"schema": "milnor-scope/2", "compare": {"component_counts": [2, 1],
+           "first": {"converged": 10, "eps": 3.0}, "note": "text"},
+           "reports": [{"witnesses": [], "scale": 1.0}], "points": [[0.5, 1.5]]}
+    assert same_output.decision_fields(doc) == {
+        "compare": {"component_counts": [2, 1], "first": {"converged": 10}},
+        "reports": [{"witnesses (count)": 0}]}
+    assert same_output.decision_fields({"eps": 1.0, "points": [[0.5]]}) is None

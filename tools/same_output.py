@@ -1,6 +1,7 @@
 """Check that two source trees print the same output on a benchmark job list.
 
     python3 tools/same_output.py PARENT_SRC CHANGE_SRC --workload W [W ...] --seed N [N ...]
+                                 [--decisions]
 
 PARENT_SRC and CHANGE_SRC are `src/` directories of two checkouts.  Each
 workload is checked at each seed, in the order given.  A job list is the
@@ -12,6 +13,13 @@ stderr of each job are compared; the first difference is printed as the
 job index and the field (`exit`, a JSON key path into stdout, `stdout`
 when it is not JSON, or `stderr`), and the check stops there.  Exits 0
 when everything matches and 1 otherwise.
+
+`--decisions` compares only what a job decides: the exit code and, in
+its JSON, every `verdict`, `aggregate_verdict`, `locus_count`,
+`critical_hits`, `component_count`, `component_counts`, `converged` and
+`singular_count`, and the length of every `witnesses` list.  Floats
+that may move in their last bits (points, radii, norms) and stderr are
+not compared; a stdout that is not JSON is compared whole.
 """
 
 from __future__ import annotations
@@ -27,6 +35,9 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 BLAS_ENV = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+DECISION_KEYS = frozenset({"verdict", "aggregate_verdict", "locus_count", "critical_hits",
+                           "component_count", "component_counts", "converged",
+                           "singular_count"})
 
 
 def job_argvs(workload: str, seed: int) -> list[list[str]]:
@@ -74,9 +85,37 @@ def first_difference(a, b, path: str) -> str | None:
     return None if a == b and type(a) is type(b) else path
 
 
-def field(a: dict, b: dict) -> str | None:
+def decision_fields(doc):
+    """The parts of a parsed output named by DECISION_KEYS, at their key
+    paths, with each `witnesses` list replaced by its length; None when
+    doc holds none of them."""
+    if isinstance(doc, dict):
+        out = {}
+        for key, value in doc.items():
+            if key == "witnesses":
+                out["witnesses (count)"] = len(value)
+            elif key in DECISION_KEYS:
+                out[key] = value
+            else:
+                found = decision_fields(value)
+                if found is not None:
+                    out[key] = found
+        return out or None
+    if isinstance(doc, list):
+        found = [decision_fields(v) for v in doc]
+        return found if any(v is not None for v in found) else None
+    return None
+
+
+def field(a: dict, b: dict, decisions: bool = False) -> str | None:
     if a["exit"] != b["exit"]:
         return f"exit ({a['exit']} vs {b['exit']})"
+    if decisions:
+        try:
+            da, db = (decision_fields(json.loads(r["stdout"])) for r in (a, b))
+        except json.JSONDecodeError:
+            return None if a["stdout"] == b["stdout"] else "stdout"
+        return first_difference(da, db, "stdout")
     if a["stdout"] != b["stdout"]:
         try:
             found = first_difference(json.loads(a["stdout"]), json.loads(b["stdout"]), "stdout")
@@ -86,7 +125,8 @@ def field(a: dict, b: dict) -> str | None:
     return None if a["stderr"] == b["stderr"] else "stderr"
 
 
-def compare(parent_src: str, change_src: str, workload: str, seed: int) -> int:
+def compare(parent_src: str, change_src: str, workload: str, seed: int,
+            decisions: bool = False) -> int:
     jobs = json.dumps(job_argvs(workload, seed))
     env = dict(os.environ, **{var: "1" for var in BLAS_ENV})
     procs = [subprocess.Popen([sys.executable, __file__, "--run-jobs", src],
@@ -102,12 +142,12 @@ def compare(parent_src: str, change_src: str, workload: str, seed: int) -> int:
         print("error: a job runner stopped early", file=sys.stderr)
         return 2
     for i, (a, b) in enumerate(zip(parent, change)):
-        diff = field(a, b)
+        diff = field(a, b, decisions)
         if diff:
             print(f"{workload} seed {seed}: job {i} differs at {diff}")
             return 1
-    print(f"{workload} seed {seed}: {count} jobs, stdout, stderr and exit codes identical",
-          flush=True)
+    same = "exit codes and decisions" if decisions else "stdout, stderr and exit codes"
+    print(f"{workload} seed {seed}: {count} jobs, {same} identical", flush=True)
     return 0
 
 
@@ -117,10 +157,12 @@ def main(argv=None) -> int:
     ap.add_argument("change_src")
     ap.add_argument("--workload", nargs="+", required=True)
     ap.add_argument("--seed", type=int, nargs="+", required=True)
+    ap.add_argument("--decisions", action="store_true",
+                    help="compare exit codes, verdicts and counts only")
     args = ap.parse_args(argv)
     for workload in args.workload:
         for seed in args.seed:
-            code = compare(args.parent_src, args.change_src, workload, seed)
+            code = compare(args.parent_src, args.change_src, workload, seed, args.decisions)
             if code:
                 return code
     return 0
