@@ -10,10 +10,8 @@ from .parsing import (ParseError, parse_mixed, parse_real_map, render_mixed,
                       render_real_map)
 from .realpoly import RealPolynomialMap
 from .structure import (DiscriminantComponent, RadialWeights, VerdictKind, analyze,
-                        colinearity_classes, critical_indices, critical_set,
-                        discriminant, fibration_verdict, radial_weights,
-                        sample_critical_subspace, sigma_cap_V_trivial,
-                        special_family_form)
+                        colinearity_classes, critical_indices, radial_weights,
+                        sample_critical_subspace, special_family_form)
 from .transversality import (TransversalityVerdict, falsify_transversality,
                              search_tangency_locus, special_family_claim_check,
                              special_family_minor, tangency_minors_exact)

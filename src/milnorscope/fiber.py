@@ -324,17 +324,18 @@ def sample_fiber(f: RealPolynomialMap, c, eps: float,
     read off the same tree.  Fewer than 10 kept points set the
     `unreliable` flag.  Points where the Jacobian is nearly
     rank-deficient (singular-value ratio below 1e-8) are counted in
-    singular_count.  eps and count must be positive and finite, c finite
-    and rng_seed a non-negative integer.
+    singular_count.  eps and count must be positive and finite, count an
+    integer, c finite and rng_seed a non-negative integer.
     """
     sampling.check_positive("eps", eps)
     sampling.check_positive("count", count)
+    sampling.check_whole("count", count)
     c = np.asarray(c, dtype=float)
     if c.shape != (f.p,):
         raise ValueError("target value has wrong dimension")
     if not np.all(np.isfinite(c)):
         raise ValueError("target value must be finite")
-    sampling.check_seed(rng_seed)
+    sampling.check_whole("rng_seed", rng_seed)
     seeds = sampling.ball_points(f.n, count, eps, rng_seed)
     X, rn = newton_batch(lambda X: f.eval_many(X) - c, f.grad_many, seeds,
                          NEWTON_MAX_ITER)

@@ -17,10 +17,10 @@ def check_positive(name: str, value: float) -> None:
         raise ValueError(f"{name} must be positive and finite, got {value!r}")
 
 
-def check_seed(rng_seed: int) -> None:
-    """Raise ValueError unless `rng_seed` is a non-negative integer."""
-    if not isinstance(rng_seed, (int, np.integer)) or rng_seed < 0:
-        raise ValueError(f"rng_seed must be a non-negative integer, got {rng_seed!r}")
+def check_whole(name: str, value: int) -> None:
+    """Raise ValueError unless the argument `name` is a non-negative integer."""
+    if not isinstance(value, (int, np.integer)) or value < 0:
+        raise ValueError(f"{name} must be a non-negative integer, got {value!r}")
 
 
 def _sobol(d: int, count: int, seed: int) -> np.ndarray:

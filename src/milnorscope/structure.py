@@ -35,12 +35,6 @@ def _primitive(c: ComplexRational) -> ComplexRational:
     return ComplexRational(Fraction(u // g), Fraction(v // g))
 
 
-def _ratio(lam: ComplexRational, direction: ComplexRational) -> Fraction:
-    # lam = t * direction with t rational, valid when the two are colinear
-    den = direction.dot(direction)
-    return lam.dot(direction) / den
-
-
 @dataclass(frozen=True)
 class ColinearityClass:
     """A set of indices whose coefficients are R-colinear.
@@ -70,9 +64,11 @@ class ColinearityClass:
 
 def _colinear_class(psi: DiagonalMixedPolynomial,
                     indices: tuple[int, ...]) -> ColinearityClass:
-    # the caller guarantees the coefficients on `indices` are colinear
+    # the caller guarantees the coefficients on `indices` are colinear, so
+    # each is t * direction with t rational
     direction = _primitive(psi.term_for(indices[0]).coeff)
-    ratios = {j: _ratio(psi.term_for(j).coeff, direction) for j in indices}
+    den = direction.dot(direction)
+    ratios = {j: psi.term_for(j).coeff.dot(direction) / den for j in indices}
     theta = math.atan2(float(direction.im), float(direction.re))
     return ColinearityClass(indices, direction, ratios, theta)
 
@@ -97,15 +93,10 @@ def colinearity_classes(psi: DiagonalMixedPolynomial) -> CriticalIndexPartition:
         if j in used:
             continue
         lam_j = psi.term_for(j).coeff
-        members = [j]
-        used.add(j)
-        for k in crit:
-            if k in used:
-                continue
-            if lam_j.cross(psi.term_for(k).coeff) == 0:
-                members.append(k)
-                used.add(k)
-        classes.append(_colinear_class(psi, tuple(members)))
+        members = tuple(k for k in crit
+                        if k not in used and lam_j.cross(psi.term_for(k).coeff) == 0)
+        used.update(members)
+        classes.append(_colinear_class(psi, members))
     return CriticalIndexPartition(frozenset(crit), tuple(classes))
 
 
@@ -140,8 +131,8 @@ def _missing_indices(psi: DiagonalMixedPolynomial) -> list[int]:
     return [j for j in range(1, psi.n + 1) if psi.term_for(j) is None]
 
 
-def critical_set(psi: DiagonalMixedPolynomial, *,
-                 partition: CriticalIndexPartition | None = None) -> CriticalSetDescription:
+def _critical_set(psi: DiagonalMixedPolynomial,
+                  part: CriticalIndexPartition) -> CriticalSetDescription:
     """The critical set as a union of coordinate subspaces, one per class.
 
     For each colinearity class J the subspace sets every other occurring
@@ -149,14 +140,12 @@ def critical_set(psi: DiagonalMixedPolynomial, *,
     plain or conjugate degree one forces an empty critical set since its
     differential never vanishes.  Degenerate shapes (no critical
     indices, all indices critical, absent variables) carry a note.
-    `partition`, if given, is `colinearity_classes(psi)`.
     """
     linear = _linear_indices(psi)
     missing = _missing_indices(psi)
     if linear:
         return CriticalSetDescription(
             (), note=f"empty: the term in z{linear[0]} has a nowhere-zero differential")
-    part = colinearity_classes(psi) if partition is None else partition
     present = sorted(t.j for t in psi.terms)
     notes = []
     if missing:
@@ -184,6 +173,9 @@ def critical_set(psi: DiagonalMixedPolynomial, *,
 # discriminant
 
 
+_ANGLE_TOL = 1e-9
+
+
 @dataclass(frozen=True)
 class DiscriminantComponent:
     """Image of one critical subspace: a ray or full line through 0.
@@ -198,17 +190,19 @@ class DiscriminantComponent:
     direction: ComplexRational
     kind: str  # "ray" or "full_line"
 
-    def contains_value(self, w: complex, angle_tol: float = 1e-9) -> bool:
-        """Whether w lies on this component up to an angular tolerance."""
+    def contains_value(self, w: complex) -> bool:
+        """Whether w lies on this component up to the angle `_ANGLE_TOL`; w must be finite."""
+        if not (math.isfinite(w.real) and math.isfinite(w.imag)):
+            raise ValueError(f"value must be finite, got {w!r}")
         d = complex(float(self.direction.re), float(self.direction.im))
         r = abs(w) * abs(d)
         if r == 0:
             return True
         cross = w.real * d.imag - w.imag * d.real
         dot = w.real * d.real + w.imag * d.imag
-        if abs(cross) > angle_tol * r:
+        if abs(cross) > _ANGLE_TOL * r:
             return False
-        return self.kind == "full_line" or dot >= -angle_tol * r
+        return self.kind == "full_line" or dot >= -_ANGLE_TOL * r
 
 
 @dataclass(frozen=True)
@@ -218,16 +212,11 @@ class DiscriminantGeometry:
     note: str | None = None
 
 
-def discriminant(psi: DiagonalMixedPolynomial, *,
-                 partition: CriticalIndexPartition | None = None) -> DiscriminantGeometry:
-    """Geometry of the set of critical values.
-
-    `partition`, if given, is `colinearity_classes(psi)`.
-    """
-    linear = _linear_indices(psi)
-    if linear:
+def _discriminant(psi: DiagonalMixedPolynomial,
+                  part: CriticalIndexPartition) -> DiscriminantGeometry:
+    """Geometry of the set of critical values."""
+    if _linear_indices(psi):
         return DiscriminantGeometry((), False, note="empty critical set")
-    part = colinearity_classes(psi) if partition is None else partition
     if not part.critical:
         return DiscriminantGeometry((), False,
                                     note="critical values reduce to the origin")
@@ -270,8 +259,8 @@ def radial_weights(psi: DiagonalMixedPolynomial) -> RadialWeights:
 # zero set of the critical values
 
 
-def sigma_cap_V_trivial(psi: DiagonalMixedPolynomial, *,
-                        partition: CriticalIndexPartition | None = None) -> tuple[bool, dict]:
+def _sigma_cap_v(psi: DiagonalMixedPolynomial,
+                 part: CriticalIndexPartition) -> tuple[bool, dict]:
     """Whether the critical set meets the zero set only at the origin.
 
     On the subspace of class J the value is e^{i theta} sum mu_j s_j
@@ -279,11 +268,9 @@ def sigma_cap_V_trivial(psi: DiagonalMixedPolynomial, *,
     when some class mixes signs, or when an absent variable leaves a
     free coordinate.  Returns (flag, certificate); the certificate
     carries per-class signs and an explicit witness point when the
-    intersection is nontrivial.  `partition`, if given, is
-    `colinearity_classes(psi)`.
+    intersection is nontrivial.
     """
-    linear = _linear_indices(psi)
-    if linear:
+    if _linear_indices(psi):
         return True, {"note": "empty critical set", "classes": [], "witness": None}
     missing = _missing_indices(psi)
     if missing:
@@ -293,7 +280,6 @@ def sigma_cap_V_trivial(psi: DiagonalMixedPolynomial, *,
             "note": f"z{missing[0]} has no term; the axis lies in both sets",
             "classes": [],
             "witness": [(w.real, w.imag) for w in witness]}
-    part = colinearity_classes(psi) if partition is None else partition
     cls_info = []
     witness = None
     for cls in part.classes:
@@ -384,25 +370,22 @@ class FibrationVerdict:
     preconditions: dict
 
 
-def fibration_verdict(psi: DiagonalMixedPolynomial, *,
-                      partition: CriticalIndexPartition | None = None) -> FibrationVerdict:
+def _verdict(psi: DiagonalMixedPolynomial, part: CriticalIndexPartition,
+             disc: DiscriminantGeometry, trivial: bool,
+             special: SpecialFamilyForm | None) -> FibrationVerdict:
     """Decide which sufficient fibration criterion applies, if any.
 
     The checks run in a fixed order: global submersion from linear
     terms, isolated critical point, the colinearity criterion for
     positive exponents, then the special family.  When none applies the
     verdict is Undetermined and the reasons list what failed; that is
-    not a proof that no fibration exists.  `partition`, if given, is
-    `colinearity_classes(psi)`.
+    not a proof that no fibration exists.  `disc`, `trivial` and
+    `special` are what `analyze` built from `psi` and `part`.
     """
-    part = colinearity_classes(psi) if partition is None else partition
     missing = _missing_indices(psi)
     crit = part.critical
     all_positive = not missing and all(t.a >= 1 and t.b >= 1 for t in psi.terms)
     same_arg = all(cls.all_same_argument for cls in part.classes)
-    trivial, cert = sigma_cap_V_trivial(psi, partition=part)
-    special = special_family_form(psi)
-    disc = discriminant(psi, partition=part)
     pre = {
         "critical_count": len(crit),
         "proper_critical_range": 0 < len(crit) < psi.n,
@@ -478,13 +461,15 @@ class StructureReport:
     partition: CriticalIndexPartition
     critical_set: CriticalSetDescription
     discriminant: DiscriminantGeometry
+    sigma_cap_v: tuple[bool, dict]  # whether Sigma meets V only at 0, certificate
+    special_family: SpecialFamilyForm | None
     radial_weights: RadialWeights | None
     radial_weights_error: str | None
     verdict: FibrationVerdict
 
 
 def analyze(psi: DiagonalMixedPolynomial) -> StructureReport:
-    """Run the full symbolic analysis, on one colinearity partition."""
+    """Derive every exact quantity of psi once, on one colinearity partition."""
     try:
         rw = radial_weights(psi)
         rw_err = None
@@ -492,14 +477,19 @@ def analyze(psi: DiagonalMixedPolynomial) -> StructureReport:
         rw = None
         rw_err = str(exc)
     part = colinearity_classes(psi)
+    disc = _discriminant(psi, part)
+    cap = _sigma_cap_v(psi, part)
+    special = special_family_form(psi)
     return StructureReport(
         psi=psi,
         partition=part,
-        critical_set=critical_set(psi, partition=part),
-        discriminant=discriminant(psi, partition=part),
+        critical_set=_critical_set(psi, part),
+        discriminant=disc,
+        sigma_cap_v=cap,
+        special_family=special,
         radial_weights=rw,
         radial_weights_error=rw_err,
-        verdict=fibration_verdict(psi, partition=part),
+        verdict=_verdict(psi, part, disc, cap[0], special),
     )
 
 

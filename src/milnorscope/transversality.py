@@ -220,6 +220,16 @@ def _make_witnesses(f: RealPolynomialMap, X: np.ndarray, eps: float,
             for x, s, sg, fn, sm in zip(X, sigma, sigma_grad, f_norm, smin)]
 
 
+def _check_budget(seeds: int, iters: int, tol_tangency: float) -> None:
+    # the multistart budget of the tangency search, checked before any draw
+    sampling.check_positive("seeds", seeds)
+    sampling.check_positive("tol_tangency", tol_tangency)
+    if not (iters >= 0 and math.isfinite(iters)):
+        raise ValueError(f"iters must be zero or positive and finite, got {iters!r}")
+    sampling.check_whole("seeds", seeds)
+    sampling.check_whole("iters", iters)
+
+
 def search_tangency_locus(f: RealPolynomialMap, eps: float, *,
                           seeds: int = DEFAULT_SEEDS,
                           iters: int = DEFAULT_ITERS,
@@ -236,13 +246,14 @@ def search_tangency_locus(f: RealPolynomialMap, eps: float, *,
     distance.  Points whose gradient rows are themselves
     dependent are reported separately as critical hits.  `extra_seeds`
     adds caller chosen start points (projected to the sphere) to the
-    multistart.  Raises ValueError where a gradient row of f overflows, or
-    when rng_seed is not a non-negative integer.
+    multistart.  Raises ValueError where a gradient row of f overflows,
+    or an argument is outside the range `falsify_transversality` states.
     """
     sampling.check_positive("eps", eps)
     if f.n <= f.p:
         raise ValueError("need more variables than components")
-    sampling.check_seed(rng_seed)
+    _check_budget(seeds, iters, tol_tangency)
+    sampling.check_whole("rng_seed", rng_seed)
     X = sampling.sphere_points(f.n, seeds, eps, rng_seed)
     if extra_seeds is not None:
         P = np.asarray(extra_seeds, dtype=float).reshape(-1, f.n)
@@ -356,8 +367,7 @@ def falsify_transversality(f: RealPolynomialMap, eps: float, *,
                            rng_seed: int = 0,
                            tol_tangency: float = TOL_TANGENCY,
                            tol_v: float = TOL_V,
-                           margin: float | None = None,
-                           extra_seeds=None) -> TransversalityReport:
+                           margin: float | None = None) -> TransversalityReport:
     """Decide FailsWithWitness / HoldsAtBudget / Inconclusive on S_eps.
 
     A failure is certified by a sequence of tangency points on the
@@ -367,18 +377,17 @@ def falsify_transversality(f: RealPolynomialMap, eps: float, *,
     statement that every regular-fiber tangency found keeps |f| above
     the margin (default: 1e-2 times the median of |f| on the sphere).
     eps, seeds, the tolerances and a given margin must be positive and
-    finite, iters at least zero and rng_seed a non-negative integer.
-    Raises ValueError when |f|^2 overflows at some of the sphere samples,
-    or a gradient row of f where the search evaluates it.
+    finite, seeds and iters integers, iters at least zero and rng_seed a
+    non-negative integer.  Raises ValueError when |f|^2 overflows at some
+    of the sphere samples, or a gradient row of f where the search
+    evaluates it.
     """
-    given = {"eps": eps, "seeds": seeds, "tol_tangency": tol_tangency,
-             "tol_v": tol_v, "margin": margin}
-    for name, value in given.items():
+    sampling.check_positive("eps", eps)
+    _check_budget(seeds, iters, tol_tangency)
+    for name, value in (("tol_v", tol_v), ("margin", margin)):
         if value is not None:
             sampling.check_positive(name, value)
-    if iters < 0:
-        raise ValueError(f"iters must be zero or positive and finite, got {iters!r}")
-    sampling.check_seed(rng_seed)
+    sampling.check_whole("rng_seed", rng_seed)
     rng = np.random.default_rng(rng_seed + 7919)
     sample = sampling.sphere_points(f.n, 2048, eps, rng_seed + 101)
     # overflow here is stated below, so numpy need not warn about it
@@ -410,7 +419,7 @@ def falsify_transversality(f: RealPolynomialMap, eps: float, *,
 
     locus = search_tangency_locus(
         f, eps, seeds=seeds, iters=iters, rng_seed=rng_seed,
-        tol_tangency=tol_tangency, extra_seeds=extra_seeds)
+        tol_tangency=tol_tangency)
     tolerances = {"tol_tangency": tol_tangency, "tol_v": tol_v,
                   "margin": margin, "dedup_radius": DEDUP_RADIUS}
     min_f = locus.witnesses[0].f_norm if locus.witnesses else math.inf

@@ -14,10 +14,9 @@ import numpy as np
 from scipy import ndimage
 
 from milnorscope import (ComplexRational, DiagonalMixedPolynomial, MixedTerm,
-                         TransversalityVerdict, VerdictKind,
-                         colinearity_classes, critical_indices, critical_set,
-                         discriminant, falsify_transversality,
-                         fiber_compare, fibration_verdict,
+                         TransversalityVerdict, VerdictKind, analyze,
+                         colinearity_classes, critical_indices,
+                         falsify_transversality, fiber_compare,
                          parse_mixed, parse_real_map, radial_weights,
                          sample_critical_subspace, search_tangency_locus,
                          special_family_claim_check, special_family_form,
@@ -140,43 +139,46 @@ def test_structure_goldens():
         assert [c.indices for c in part.classes] == [(1,), (2,)]
         assert [(c.direction.re, c.direction.im) for c in part.classes] \
             == [(1, 1), (-2, -1)]
-        geo = discriminant(WORKED)
+        rep = analyze(WORKED)
+        geo = rep.discriminant
         assert [c.kind for c in geo.components] == ["ray", "ray"]
-        cs = critical_set(WORKED)
+        cs = rep.critical_set
         assert [(s.zero_indices, s.free_indices) for s in cs.subspaces] \
             == [((2, 3), (1,)), ((1, 3), (2,))]
         rw = radial_weights(WORKED)
         assert (rw.degree, rw.weights) == (12, (6, 3, 4))
-        assert fibration_verdict(WORKED).kind \
+        assert rep.verdict.kind \
             is VerdictKind.FIBRATION_MAIN_THEOREM
 
         assert critical_indices(G_POLY) == frozenset({1})
         part = colinearity_classes(G_POLY)
         assert [c.indices for c in part.classes] == [(1,)]
-        geo = discriminant(G_POLY)
+        rep = analyze(G_POLY)
+        geo = rep.discriminant
         assert [(c.kind, c.direction.re, c.direction.im)
                 for c in geo.components] == [("ray", 1, 0)]
-        cs = critical_set(G_POLY)
+        cs = rep.critical_set
         assert [(s.zero_indices, s.free_indices) for s in cs.subspaces] \
             == [((2,), (1,))]
         rw = radial_weights(G_POLY)
         assert (rw.degree, rw.weights) == (6, (3, 2))
-        assert fibration_verdict(G_POLY).kind \
+        assert rep.verdict.kind \
             is VerdictKind.FIBRATION_MAIN_THEOREM
 
         assert critical_indices(H_POLY) == frozenset({1, 2})
         part = colinearity_classes(H_POLY)
         assert [c.indices for c in part.classes] == [(1, 2)]
         assert part.classes[0].ratios == {1: Fraction(1), 2: Fraction(-1)}
-        geo = discriminant(H_POLY)
+        rep = analyze(H_POLY)
+        geo = rep.discriminant
         assert [(c.kind, c.direction.re, c.direction.im)
                 for c in geo.components] == [("full_line", 1, 0)]
-        cs = critical_set(H_POLY)
+        cs = rep.critical_set
         assert [(s.zero_indices, s.free_indices) for s in cs.subspaces] \
             == [((3,), (1, 2))]
         rw = radial_weights(H_POLY)
         assert (rw.degree, rw.weights) == (6, (3, 3, 2))
-        assert fibration_verdict(H_POLY).kind \
+        assert rep.verdict.kind \
             is VerdictKind.FIBRATION_SPECIAL_CASE
 
         # failing map: both 2x2 Jacobian minors vanish exactly on the
@@ -430,14 +432,15 @@ def test_discriminant_sampling():
         kinds = set()
         for _ in range(5):
             psi = _random_classified_psi(rng)
-            cs = critical_set(psi)
-            by_idx = {c.class_indices: c for c in discriminant(psi).components}
+            rep = analyze(psi)
+            cs = rep.critical_set
+            by_idx = {c.class_indices: c for c in rep.discriminant.components}
             for sub in cs.subspaces:
                 comp = by_idx[sub.class_indices]
                 kinds.add(comp.kind)
                 Z = sample_critical_subspace(psi, sub, 500, rng)
                 for v in psi.eval_many(Z):
-                    assert comp.contains_value(complex(v), angle_tol=1e-9)
+                    assert comp.contains_value(complex(v))
         assert kinds == {"ray", "full_line"}   # the draw covers both shapes
         ok = True
     finally:

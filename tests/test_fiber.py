@@ -286,6 +286,8 @@ def test_sample_fiber_rejects_bad_input():
     for count in (0, -3):
         with pytest.raises(ValueError, match=f"count must be positive and finite, got {count}"):
             sample_fiber(FAILING_MAP, (1.0, 0.0), 1.0, count=count)
+    with pytest.raises(ValueError, match=r"^count must be a non-negative integer, got 2\.5$"):
+        sample_fiber(FAILING_MAP, (1.0, 0.0), 1.0, count=2.5)
     with pytest.raises(ValueError, match="dimension"):
         sample_fiber(FAILING_MAP, (1.0, 0.0, 0.0), 1.0)
     for bad in (math.nan, math.inf):

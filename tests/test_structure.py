@@ -2,6 +2,7 @@
 discriminant, weights, and the verdict tree."""
 
 import itertools
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -17,17 +18,14 @@ from milnorscope import (
     analyze,
     colinearity_classes,
     critical_indices,
-    critical_set,
-    discriminant,
-    fibration_verdict,
     parse_mixed,
     radial_weights,
     reals_to_complex,
     sample_critical_subspace,
     DiscriminantComponent,
-    sigma_cap_V_trivial,
     special_family_form,
 )
+from milnorscope import structure
 
 WORKED = "(1+i) z1 z1~ + (-2-i) z2^2 z2~^2 + i z3^2 z3~"
 G_POLY = "z1 z1~ + z2^2 z2~"
@@ -123,7 +121,7 @@ def test_class_mu_reconstructs_coefficient():
 
 
 def test_critical_set_g():
-    desc = critical_set(parse_mixed(G_POLY))
+    desc = analyze(parse_mixed(G_POLY)).critical_set
     assert len(desc.subspaces) == 1
     sub = desc.subspaces[0]
     assert sub.class_indices == (1,)
@@ -133,7 +131,7 @@ def test_critical_set_g():
 
 
 def test_critical_set_worked_example():
-    desc = critical_set(parse_mixed(WORKED))
+    desc = analyze(parse_mixed(WORKED)).critical_set
     subs = {s.class_indices: s for s in desc.subspaces}
     assert set(subs) == {(1,), (2,)}
     assert subs[(1,)].zero_indices == (2, 3)
@@ -141,7 +139,7 @@ def test_critical_set_worked_example():
 
 
 def test_critical_set_no_critical_indices():
-    desc = critical_set(parse_mixed("z1^2 z1~ + z2^3 z2~"))
+    desc = analyze(parse_mixed("z1^2 z1~ + z2^3 z2~")).critical_set
     assert len(desc.subspaces) == 1
     assert desc.subspaces[0].zero_indices == (1, 2)
     assert desc.subspaces[0].free_indices == ()
@@ -149,12 +147,12 @@ def test_critical_set_no_critical_indices():
 
 
 def test_critical_set_all_critical_notes():
-    desc = critical_set(parse_mixed("z1 z1~ + z2 z2~"))
+    desc = analyze(parse_mixed("z1 z1~ + z2 z2~")).critical_set
     assert "all indices are critical" in desc.note
 
 
 def test_critical_set_linear_term_is_empty():
-    desc = critical_set(parse_mixed("z1 + z2 z2~"))
+    desc = analyze(parse_mixed("z1 + z2 z2~")).critical_set
     assert desc.subspaces == ()
     assert "nowhere-zero differential" in desc.note
 
@@ -163,7 +161,7 @@ def test_critical_set_soundness_on_and_off():
     rng = np.random.default_rng(41)
     for text in (WORKED, G_POLY):
         psi = parse_mixed(text)
-        desc = critical_set(psi)
+        desc = analyze(psi).critical_set
         for sub in desc.subspaces:
             Z = sample_critical_subspace(psi, sub, 200, rng)
             for z in Z:
@@ -189,7 +187,7 @@ def test_critical_set_soundness_on_and_off():
 
 
 def test_discriminant_worked_example():
-    geo = discriminant(parse_mixed(WORKED))
+    geo = analyze(parse_mixed(WORKED)).discriminant
     assert len(geo.components) == 2
     dirs = {(c.direction.re, c.direction.im): c.kind for c in geo.components}
     assert dirs == {(1, 1): "ray", (-2, -1): "ray"}
@@ -201,14 +199,14 @@ def test_discriminant_full_line():
         MixedTerm(1, C(1), 1, 1),
         MixedTerm(2, C(-1), 1, 1),
     ])
-    geo = discriminant(psi)
+    geo = analyze(psi).discriminant
     assert len(geo.components) == 1
     assert geo.components[0].kind == "full_line"
     assert geo.has_complete_line
 
 
 def test_discriminant_single_ray_for_g():
-    geo = discriminant(parse_mixed(G_POLY))
+    geo = analyze(parse_mixed(G_POLY)).discriminant
     assert len(geo.components) == 1
     comp = geo.components[0]
     assert (comp.direction.re, comp.direction.im) == (1, 0)
@@ -226,19 +224,26 @@ def test_contains_value_geometry():
     assert not line.contains_value(1j)
 
 
+def test_contains_value_rejects_non_finite_values():
+    for kind in ("ray", "full_line"):
+        comp = DiscriminantComponent((1,), C(1), kind)
+        for w in (complex(math.nan, 0), complex(math.inf, 0), complex(0, -math.inf)):
+            with pytest.raises(ValueError, match="value must be finite"):
+                comp.contains_value(w)
+
+
 def test_discriminant_sampling_consistency():
     rng = np.random.default_rng(47)
     for text in (WORKED, G_POLY, H_POLY):
         psi = parse_mixed(text)
-        geo = discriminant(psi)
-        desc = critical_set(psi)
-        comp_by_class = {c.class_indices: c for c in geo.components}
-        for sub in desc.subspaces:
+        rep = analyze(psi)
+        comp_by_class = {c.class_indices: c for c in rep.discriminant.components}
+        for sub in rep.critical_set.subspaces:
             comp = comp_by_class[sub.class_indices]
             Z = sample_critical_subspace(psi, sub, 500, rng)
             vals = psi.eval_many(Z)
             for w in vals:
-                assert comp.contains_value(complex(w), angle_tol=1e-9)
+                assert comp.contains_value(complex(w))
 
 
 # ----------------------------------------------------------------------
@@ -279,7 +284,7 @@ def test_radial_weights_divisibility():
 
 
 def test_sigma_cap_v_trivial_for_g():
-    flag, cert = sigma_cap_V_trivial(parse_mixed(G_POLY))
+    flag, cert = analyze(parse_mixed(G_POLY)).sigma_cap_v
     assert flag
     assert cert["witness"] is None
     assert cert["classes"][0]["same_sign"]
@@ -287,7 +292,7 @@ def test_sigma_cap_v_trivial_for_g():
 
 def test_sigma_cap_v_nontrivial_for_h():
     psi = parse_mixed(H_POLY)
-    flag, cert = sigma_cap_V_trivial(psi)
+    flag, cert = analyze(psi).sigma_cap_v
     assert not flag
     z = reals_to_complex([c for pair in cert["witness"] for c in pair])
     assert abs(psi.eval(z)) < 1e-9
@@ -295,7 +300,7 @@ def test_sigma_cap_v_nontrivial_for_h():
 
 
 def test_sigma_cap_v_missing_variable_axis():
-    flag, cert = sigma_cap_V_trivial(parse_mixed("z2 z2~"))
+    flag, cert = analyze(parse_mixed("z2 z2~")).sigma_cap_v
     assert not flag
     assert "z1" in cert["note"]
 
@@ -333,17 +338,17 @@ def test_special_family_rejections():
 
 
 def test_verdict_main_theorem_examples():
-    v = fibration_verdict(parse_mixed(WORKED))
+    v = analyze(parse_mixed(WORKED)).verdict
     assert v.kind is VerdictKind.FIBRATION_MAIN_THEOREM
     assert v.preconditions["proper_critical_range"]
     assert v.preconditions["classes_all_same_argument"]
     assert not v.preconditions["discriminant_has_complete_line"]
-    assert fibration_verdict(parse_mixed(G_POLY)).kind is \
+    assert analyze(parse_mixed(G_POLY)).verdict.kind is \
         VerdictKind.FIBRATION_MAIN_THEOREM
 
 
 def test_verdict_special_case_h():
-    v = fibration_verdict(parse_mixed(H_POLY))
+    v = analyze(parse_mixed(H_POLY)).verdict
     assert v.kind is VerdictKind.FIBRATION_SPECIAL_CASE
     assert v.preconditions["special_family"]
     assert v.preconditions["discriminant_has_complete_line"]
@@ -351,7 +356,7 @@ def test_verdict_special_case_h():
 
 
 def test_verdict_submersion():
-    v = fibration_verdict(parse_mixed("(1+i) z1 + (2-i) z2~"))
+    v = analyze(parse_mixed("(1+i) z1 + (2-i) z2~")).verdict
     assert v.kind is VerdictKind.SUBMERSION
 
 
@@ -359,9 +364,9 @@ def test_verdict_submersion_from_any_linear_term():
     # one term lambda z_j (or its conjugate) makes psi a submersion,
     # whatever the other terms and wherever lambda lies
     for text in ("z1 + z2 z2~", "z1", "-3 z1~ + z2^2 z2~", "i z2 + z1 z1~"):
-        v = fibration_verdict(parse_mixed(text))
-        assert v.kind is VerdictKind.SUBMERSION
-        assert critical_set(parse_mixed(text)).subspaces == ()
+        rep = analyze(parse_mixed(text))
+        assert rep.verdict.kind is VerdictKind.SUBMERSION
+        assert rep.critical_set.subspaces == ()
 
 
 @st.composite
@@ -382,25 +387,26 @@ def mixed_polys(draw):
 @given(mixed_polys())
 @example(parse_mixed("z1 + z2 z2~"))
 def test_submersion_exactly_when_critical_set_is_empty(psi):
-    empty = critical_set(psi).subspaces == ()
-    assert empty == (fibration_verdict(psi).kind is VerdictKind.SUBMERSION)
+    rep = analyze(psi)
+    empty = rep.critical_set.subspaces == ()
+    assert empty == (rep.verdict.kind is VerdictKind.SUBMERSION)
 
 
 def test_verdict_isolated_critical_point():
-    v = fibration_verdict(parse_mixed("z1^2 z1~"))
+    v = analyze(parse_mixed("z1^2 z1~")).verdict
     assert v.kind is VerdictKind.ISOLATED_CRITICAL_POINT
 
 
 def test_verdict_undetermined_with_reasons():
-    v = fibration_verdict(parse_mixed("z1 z1~ - z2 z2~ + z3^3 z3~^2"))
+    v = analyze(parse_mixed("z1 z1~ - z2 z2~ + z3^3 z3~^2")).verdict
     assert v.kind is VerdictKind.UNDETERMINED
     assert any("mix coefficient signs" in r for r in v.reasons)
 
-    v = fibration_verdict(parse_mixed("z1 z1~ + z2 z2~"))
+    v = analyze(parse_mixed("z1 z1~ + z2 z2~")).verdict
     assert v.kind is VerdictKind.UNDETERMINED
     assert any("every index is critical" in r for r in v.reasons)
 
-    v = fibration_verdict(parse_mixed("z2 z2~"))
+    v = analyze(parse_mixed("z2 z2~")).verdict
     assert v.kind is VerdictKind.UNDETERMINED
     assert any("do not occur" in r for r in v.reasons)
 
@@ -409,18 +415,15 @@ def test_verdict_invariant_under_common_scaling():
     scalars = [C(2), C(0, 1), C(-1, 3), C(Fraction(1, 2), Fraction(-5, 3))]
     for text in (WORKED, G_POLY, H_POLY, "z1^2 z1~", "z1 z1~ + z2 z2~"):
         psi = parse_mixed(text)
-        base = fibration_verdict(psi)
-        base_part = colinearity_classes(psi)
+        base = analyze(psi)
         for c in scalars:
-            scaled = psi.scale(c)
-            v = fibration_verdict(scaled)
-            assert v.kind is base.kind
-            part = colinearity_classes(scaled)
-            assert part.critical == base_part.critical
-            assert [cls.indices for cls in part.classes] == \
-                [cls.indices for cls in base_part.classes]
-            assert discriminant(scaled).has_complete_line == \
-                discriminant(psi).has_complete_line
+            rep = analyze(psi.scale(c))
+            assert rep.verdict.kind is base.verdict.kind
+            assert rep.partition.critical == base.partition.critical
+            assert [cls.indices for cls in rep.partition.classes] == \
+                [cls.indices for cls in base.partition.classes]
+            assert rep.discriminant.has_complete_line == \
+                base.discriminant.has_complete_line
 
 
 # ----------------------------------------------------------------------
@@ -435,6 +438,33 @@ def test_analyze_bundles_everything():
     assert rep.verdict.kind is VerdictKind.FIBRATION_MAIN_THEOREM
 
 
+def test_analyze_builds_each_quantity_once(monkeypatch):
+    calls = []
+    for name in ("colinearity_classes", "_critical_set", "_discriminant",
+                 "_sigma_cap_v", "special_family_form", "_verdict"):
+        def counted(*args, _name=name, _build=getattr(structure, name)):
+            calls.append(_name)
+            return _build(*args)
+
+        monkeypatch.setattr(structure, name, counted)
+    for text in (WORKED, H_POLY, "z1 + z2 z2~", "z2 z2~"):
+        calls.clear()
+        analyze(parse_mixed(text))
+        assert sorted(calls) == sorted(["colinearity_classes", "_critical_set",
+                                        "_discriminant", "_sigma_cap_v",
+                                        "special_family_form", "_verdict"])
+
+
+@settings(max_examples=200, deadline=None)
+@given(mixed_polys())
+def test_verdict_reads_the_report_it_sits_in(psi):
+    rep = analyze(psi)
+    pre = rep.verdict.preconditions
+    assert pre["discriminant_has_complete_line"] == rep.discriminant.has_complete_line
+    assert pre["sigma_cap_v_trivial"] == rep.sigma_cap_v[0]
+    assert pre["special_family"] == (rep.special_family is not None)
+
+
 def test_analyze_reports_weight_error():
     rep = analyze(parse_mixed("z2 z2~"))
     assert rep.radial_weights is None
@@ -443,7 +473,7 @@ def test_analyze_reports_weight_error():
 
 def test_sample_critical_subspace_respects_zeros():
     psi = parse_mixed(WORKED)
-    desc = critical_set(psi)
+    desc = analyze(psi).critical_set
     rng = np.random.default_rng(61)
     for sub in desc.subspaces:
         Z = sample_critical_subspace(psi, sub, 50, rng)

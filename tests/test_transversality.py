@@ -142,6 +142,23 @@ def test_search_rejects_bad_inputs():
         search_tangency_locus(square, 1.0)
 
 
+def test_search_and_falsifier_check_the_budget_before_any_draw(monkeypatch):
+    def no_draw(*args):
+        raise AssertionError("drew points before checking the budget")
+
+    monkeypatch.setattr(sampling, "sphere_points", no_draw)
+    cases = (({"seeds": 0}, r"seeds must be positive and finite, got 0"),
+             ({"iters": -1}, r"iters must be zero or positive and finite, got -1"),
+             ({"tol_tangency": math.nan},
+              r"tol_tangency must be positive and finite, got nan"),
+             ({"seeds": 2.5}, r"seeds must be a non-negative integer, got 2\.5"),
+             ({"iters": 2.5}, r"iters must be a non-negative integer, got 2\.5"))
+    for kwargs, message in cases:
+        for call in (search_tangency_locus, falsify_transversality):
+            with pytest.raises(ValueError, match=f"^{message}$"):
+                call(FAILING_MAP, 1.0, **kwargs)
+
+
 def test_search_lands_on_known_planes():
     res = search_tangency_locus(FAILING_MAP, 1.0, seeds=64, iters=200, rng_seed=0)
     assert res.witnesses
