@@ -7,6 +7,11 @@ spanning tree of the converged cloud, the component count that stays
 constant over the widest range of merge radii (in log scale, above the
 sampling resolution of the cloud) wins, and cutting the same tree at
 that radius labels the components.
+The tree is built in two exact steps: the minimum spanning forest of
+the pairs closer than a small contraction radius (a sweep along the
+widest coordinate and a few vectorised Borůvka rounds), then Prim over
+that forest's components, so the Python loop runs once per component
+rather than once per point.
 Sampling gaps of a connected piece close at small radii while genuinely
 separate pieces only merge near their true separation, so the stable
 count is the sampled one.  The count is descriptive: it says how the
@@ -216,44 +221,212 @@ class FiberSample:
             raise ValueError("fiber points must satisfy the residual tolerance")
 
 
-def _mst(P: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Exact Euclidean minimum spanning tree (Prim, O(N^2)).
+# Contraction radius of the short-edge forest, in median gaps along the
+# sort coordinate; it sets only the speed of `_mst`, never its result.
+CONTRACT_GAPS = 12
+# A sweep window holding more candidate pairs per point than this (points
+# piled up along the sort coordinate) skips the contraction.
+SWEEP_PAIRS = 32
+# Memory caps: candidate pairs per sweep block, and distances per block
+# when a component updates the Prim frontier.
+PAIR_BLOCK = 2048
+ROW_BLOCK = 8192
 
-    Returns the points in the order Prim adds them, starting at point 0,
-    and for each point the tree neighbor it joins through and the
-    length of that edge (-1 and inf for point 0).
 
-    The frontier is a (dim, m) array of the m points outside the tree,
-    with their indices, squared distances to the tree and nearest tree
-    points; a joining point is swap-removed.  For dim <= 7 the squared
-    distances, summed over the coordinates in order, have the bits of
-    np.linalg.norm(P - P[i], axis=1) squared (numpy sums 8 or more terms
-    pairwise); sqrt is monotone, so the tree is an MST of the lengths.
-    Every MST has the same sorted lengths, shortest edge at each point
-    and components under any cut radius, so the count, its radius, the
-    labels and nn_median do not depend on which MST ties pick.
+def _sq(PT: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Squared distances between columns a and b of the (dim, n) array PT,
+    summed over the coordinates in order."""
+    D = PT.take(a, axis=1)
+    D -= PT.take(b, axis=1)
+    D *= D
+    return np.add.reduce(D, axis=0)
+
+
+def _nearest_sq(Q: np.ndarray, X: np.ndarray) -> np.ndarray:
+    """For each column of Q, its squared distance to the nearest column of
+    X (both (dim, .)), summed over the coordinates in order."""
+    acc = Q[0] - X[0, :, None]
+    acc *= acc
+    t = np.empty_like(acc)
+    for q, x in zip(Q[1:], X[1:]):
+        np.subtract(q, x[:, None], out=t)
+        t *= t
+        acc += t
+    return np.minimum.reduce(acc, axis=0)
+
+
+def _union(comp: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Merge the components that the edges (a, b) join.
+
+    `comp` maps every point to the smallest point of its component
+    (comp[comp] == comp), and so does the result; `comp` itself may be
+    overwritten.  Each pass hooks the
+    larger root of every joining edge to the smallest root it meets and
+    then follows pointers until every point reaches its root; roots only
+    ever point lower, so no pass can close a cycle.
+    """
+    while True:
+        ca, cb = comp[a], comp[b]
+        join = ca != cb
+        if not join.any():
+            return comp
+        a, b, ca, cb = a[join], b[join], ca[join], cb[join]
+        np.minimum.at(comp, np.maximum(ca, cb), np.minimum(ca, cb))
+        while True:
+            up = comp[comp]
+            if (up == comp).all():
+                break
+            comp = up
+
+
+def _short_forest(P: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Minimum spanning forest of the pairs of P closer than a radius r.
+
+    The points are sorted along their widest coordinate and r is
+    CONTRACT_GAPS times the median gap along it (no contraction when that
+    gap is 0, or when the sweep would test more than SWEEP_PAIRS pairs per
+    point).  A sweep of the sorted order lists every pair whose squared
+    distance is below R = r*r: such a pair is closer than r along the sort
+    coordinate too, since each squared term of the in-order sum is at most
+    the sum.  Borůvka rounds then join every component to its first
+    outgoing pair in a stable sort by squared length, so ties never close a
+    cycle.  All pairs below R are present, so each pair taken is the
+    shortest edge leaving a component of the full graph: by the cut
+    property the forest lies in a minimum spanning tree for any r.
+
+    Returns each point's component, as the index of one of its members,
+    and the forest's edges (a, b).
     """
     n = len(P)
-    order = np.zeros(n, dtype=int)
-    parent = np.full(n, -1)
-    length = np.full(n, np.inf)
-    Q, idx = P.T[:, 1:].copy(), np.arange(1, n)
-    d, near = np.full(n - 1, np.inf), np.zeros(n - 1, dtype=int)
-    i = 0
-    for k in range(1, n):
-        D = Q - P[i, :, None]
-        D *= D
-        di = np.add.reduce(D, axis=0)
-        closer = di < d
-        np.copyto(d, di, where=closer)
-        np.copyto(near, i, where=closer)
-        j = int(np.argmin(d))
-        i = int(idx[j])
-        order[k], parent[i], length[i] = i, near[j], d[j]
-        m = n - 1 - k
-        Q[:, j], idx[j], d[j], near[j] = Q[:, m], idx[m], d[m], near[m]
-        Q, idx, d, near = Q[:, :m], idx[:m], d[:m], near[:m]
-    return order, parent, np.sqrt(length)
+    none = np.zeros(0, dtype=int)
+    w = int(np.argmax(P.max(axis=0) - P.min(axis=0)))
+    o = np.argsort(P[:, w], kind="stable")
+    xs = P[o, w]
+    r = CONTRACT_GAPS * float(np.median(np.diff(xs)))
+    window = np.searchsorted(xs, xs + r, side="right") - np.arange(1, n + 1)
+    ends = np.cumsum(window)
+    if r == 0.0 or ends[-1] > SWEEP_PAIRS * n:
+        return np.arange(n), none, none
+    PT = P.T.take(o, axis=1)
+    A, B, W = [], [], []
+    lo = 0
+    while lo < n:
+        hi = max(int(np.searchsorted(ends, ends[lo] - window[lo] + PAIR_BLOCK,
+                                     side="right")), lo + 1)
+        c = window[lo:hi]
+        i = np.repeat(np.arange(lo, hi), c)
+        j = i + np.arange(1, len(i) + 1) - np.repeat(np.cumsum(c) - c, c)
+        d2 = _sq(PT, j, i)
+        short = d2 < r * r
+        # positions in sorted order fit in int32, which halves the pairs' memory
+        A.append(i[short].astype(np.int32))
+        B.append(j[short].astype(np.int32))
+        W.append(d2[short])
+        lo = hi
+    # the dels below keep the traced peak to about two arrays of pairs
+    w2 = np.concatenate(W)
+    del W
+    rank = np.argsort(w2, kind="stable")
+    del w2
+    a = np.concatenate(A)[rank]
+    del A
+    b = np.concatenate(B)[rank]
+    del B, rank
+    comp = np.arange(n, dtype=np.int32)
+    fa, fb = [none], [none]
+    while True:
+        out = comp[a] != comp[b]
+        if not out.any():
+            break
+        a, b = a[out], b[out]
+        del out
+        ca, cb = comp[a], comp[b]
+        first = np.full(n, len(a), dtype=np.int32)
+        rank = np.arange(len(a), dtype=np.int32)
+        np.minimum.at(first, ca, rank)
+        np.minimum.at(first, cb, rank)
+        del ca, cb, rank
+        pick = np.zeros(len(a), dtype=bool)
+        pick[first[first < len(a)]] = True
+        fa.append(a[pick])
+        fb.append(b[pick])
+        comp = _union(comp, a[pick], b[pick])
+    root = np.empty(n, dtype=int)
+    root[o] = o[comp]
+    return root, o[np.concatenate(fa)], o[np.concatenate(fb)]
+
+
+def _mst(P: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Exact Euclidean minimum spanning tree of N >= 2 points: its N - 1
+    edges as endpoint arrays a, b and their lengths.
+
+    Step 1 contracts the short-edge forest (`_short_forest`).  Step 2 is
+    Prim over its components: the tree starts as the largest one (point 0
+    when every component is a single point), and the frontier point
+    nearest the tree joins with its whole component.  The frontier is a
+    (dim, m) array of the m points outside the tree, with their indices,
+    squared distances to the tree and the tree component each is nearest
+    to.  A single point is swap-removed and updates the frontier in one
+    pass; a component of several is compacted out and updates it in
+    blocks of ROW_BLOCK distances.  A joining point's tree neighbor is
+    found inside the component its distance came from.  With no short
+    pair this is the point-by-point frontier Prim.
+
+    Every squared distance is summed over the coordinates in order, so
+    the forest, the frontier and the neighbor search agree bit for bit;
+    for dim <= 7 these sums have the bits of np.linalg.norm(P - P[i],
+    axis=1) squared (numpy sums 8 or more terms pairwise).  sqrt is
+    monotone, so the tree is an MST of the lengths.  Every MST has the
+    same sorted lengths, shortest edge at each point and components under
+    any cut radius, so the count, its radius, the labels and nn_median do
+    not depend on which MST the contraction and ties pick.
+    """
+    n = len(P)
+    comp, fa, fb = _short_forest(P)
+    PT = P.T
+    count = np.bincount(comp, minlength=n)
+    start = np.cumsum(count) - count
+    members = np.argsort(comp, kind="stable")
+    single = (count[comp] == 1).tobytes()
+    i = j = int(count.argmax())
+    Q, idx = PT.copy(), np.arange(n)
+    d, near = np.full(n, np.inf), np.full(n, i)
+    m = n
+    joins = n - 1 - len(fa)
+    ea, eb, ew = np.empty(joins, dtype=int), np.empty(joins, dtype=int), np.empty(joins)
+    for k in range(-1, joins):
+        if k >= 0:
+            j = int(d.argmin())
+            i = int(idx[j])
+            h = int(near[j])
+            if not single[h]:
+                grp = members[start[h]:start[h] + count[h]]
+                h = int(grp[_nearest_sq(PT.take(grp, axis=1), P[i, :, None]).argmin()])
+            ea[k], eb[k], ew[k] = h, i, d[j]
+        if single[i]:
+            m -= 1
+            Q[:, j], idx[j], d[j], near[j] = Q[:, m], idx[m], d[m], near[m]
+            Q, idx, d, near = Q[:, :m], idx[:m], d[:m], near[:m]
+            D = Q - P[i, :, None]
+            D *= D
+            di = np.add.reduce(D, axis=0)
+            closer = di < d
+            np.copyto(d, di, where=closer)
+            np.copyto(near, i, where=closer)
+        else:
+            g = comp[i]
+            keep = comp[idx] != g
+            Q, idx, d, near = Q.compress(keep, axis=1), idx[keep], d[keep], near[keep]
+            m = len(idx)
+            new = members[start[g]:start[g] + count[g]]
+            rows = max(1, ROW_BLOCK // max(m, 1))
+            for lo in range(0, len(new), rows):
+                di = _nearest_sq(Q, PT.take(new[lo:lo + rows], axis=1))
+                closer = di < d
+                np.copyto(d, di, where=closer)
+                np.copyto(near, g, where=closer)
+    return (np.concatenate([fa, ea]), np.concatenate([fb, eb]),
+            np.sqrt(np.concatenate([_sq(PT, fa, fb), ew])))
 
 
 def _persistent_count(edges: np.ndarray, floor: float, start: float,
@@ -262,51 +435,47 @@ def _persistent_count(edges: np.ndarray, floor: float, start: float,
 
     Merging the MST edges in order, the count N - k holds for radii in
     [e_k, e_{k+1}); the count whose interval is longest in log scale
-    wins, with the final interval capped at the cloud diameter.  Radii
-    below `start` (the sampling scale) describe gaps between individual
-    samples rather than structure and are not measured; since the
-    smallest MST edge never exceeds the median nearest-neighbor
-    distance, the all-separate state in particular never competes.
-    Edge lengths below `floor` (duplicates) are clamped.
+    wins (the first one on a tie), with the final interval capped at the
+    cloud diameter.  Radii below `start` (the sampling scale) describe
+    gaps between individual samples rather than structure and are not
+    measured; since the smallest MST edge never exceeds the median
+    nearest-neighbor distance, the all-separate state in particular never
+    competes.  Edge lengths below `floor` (duplicates) are clamped.
+    The spans are compared as ratios hi/lo; math.log, which is monotone,
+    is taken only where the ratio lies within 1e-12 of the largest, a
+    margin wider than any two ratios whose logs round alike.
     """
     n = len(edges) + 1
     e = np.maximum(edges, floor)
     top = max(diameter, float(e[-1]) * 2.0, start * 2.0)
     uniq, mult = np.unique(e, return_counts=True)
-    merged = np.cumsum(mult)
-    lefts = np.concatenate([[floor], uniq])
+    lefts = np.maximum(np.concatenate([[floor], uniq]), start)
     rights = np.concatenate([uniq, [top]])
-    counts = np.concatenate([[n], n - merged])
+    ratio = np.where(rights > lefts, rights / lefts, 0.0)
     best = (0.0, 1, top)
-    for c, lo, hi in zip(counts, lefts, rights):
-        lo = max(lo, start)
-        if hi <= lo:
-            continue
-        span = math.log(hi / lo)
-        if span > best[0]:
-            best = (span, int(c), math.sqrt(lo * hi))
+    for k in np.flatnonzero(ratio >= ratio.max() * (1 - 1e-12)).tolist():
+        if ratio[k] > 1.0:
+            span = math.log(ratio[k])
+            if span > best[0]:
+                best = (span, n - int(mult[:k].sum()),
+                        math.sqrt(float(lefts[k]) * float(rights[k])))
     return best[1], best[2]
 
 
-def _cut_labels(order: np.ndarray, parent: np.ndarray, length: np.ndarray,
+def _cut_labels(a: np.ndarray, b: np.ndarray, length: np.ndarray,
                 radius: float) -> tuple[np.ndarray, int]:
-    """Components of the MST once every edge longer than `radius` is cut.
+    """Components of the MST edges (a, b) once every edge longer than
+    `radius` is cut.
 
     These are exactly the single-linkage clusters at that radius (Gower
-    and Ross 1969).  A parent always precedes its child in Prim order,
-    so one pass labels every point; labels are then renumbered by first
-    appearance in the point array.
+    and Ross 1969).  `_union` leaves each point at the smallest point of
+    its component, so ranking those roots numbers the components by
+    first appearance in the point array.
     """
-    comp = np.empty(len(order), dtype=int)
-    count = 0
-    for i, p, e in zip(order.tolist(), parent[order].tolist(), length[order].tolist()):
-        if e <= radius:
-            comp[i] = comp[p]
-        else:
-            comp[i] = count
-            count += 1
-    first = np.unique(comp, return_index=True)[1]
-    return np.argsort(first).argsort()[comp], count
+    keep = length <= radius
+    root = _union(np.arange(len(length) + 1), a[keep], b[keep])
+    roots, labels = np.unique(root, return_inverse=True)
+    return labels, len(roots)
 
 
 def sample_fiber(f: RealPolynomialMap, c, eps: float,
@@ -349,17 +518,18 @@ def sample_fiber(f: RealPolynomialMap, c, eps: float,
     else:
         singular = 0
     if len(pts) >= 2:
-        order, parent, length = _mst(pts)
+        a, b, length = _mst(pts)
         # a point's nearest-neighbor edge is always a tree edge
-        nn = length.copy()
-        np.minimum.at(nn, parent[1:], length[1:])
+        nn = np.full(len(pts), np.inf)
+        np.minimum.at(nn, a, length)
+        np.minimum.at(nn, b, length)
         nn_median = float(np.median(nn))
         spread = pts.max(axis=0) - pts.min(axis=0)
         floor = 1e-9 * eps
         diameter = max(float(np.linalg.norm(spread)), floor)
-        _, radius = _persistent_count(np.sort(length[1:]), floor,
+        _, radius = _persistent_count(np.sort(length), floor,
                                       max(nn_median, floor), diameter)
-        labels, ncomp = _cut_labels(order, parent, length, radius)
+        labels, ncomp = _cut_labels(a, b, length, radius)
     else:
         nn_median = 0.0
         radius = 0.0

@@ -2,11 +2,14 @@
 
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.sparse import coo_matrix
+from scipy.sparse.csgraph import connected_components
 from scipy.spatial import cKDTree
 from scipy.spatial.distance import cdist
 
@@ -23,11 +26,14 @@ from milnorscope import (
     sampling,
 )
 from milnorscope.fiber import (
+    CONTRACT_GAPS,
     NEWTON_MAX_ITER,
     NEWTON_TOL,
     _cut_labels,
     _min_norm_step,
     _mst,
+    _persistent_count,
+    _short_forest,
     newton_batch,
 )
 
@@ -436,6 +442,13 @@ def test_fiber_nn_median_matches_kdtree(acceptance_fibers):
         assert s.nn_median == pytest.approx(float(np.median(nn)), rel=1e-12)
 
 
+def assert_spanning_tree(P, a, b, length):
+    n = len(P)
+    assert len(a) == len(b) == len(length) == n - 1
+    graph = coo_matrix((np.ones(n - 1), (a, b)), shape=(n, n))
+    assert connected_components(graph, directed=False)[0] == 1
+
+
 def test_mst_cut_with_duplicates_and_two_blobs():
     rng = np.random.default_rng(5)
     a = rng.normal(size=(30, 3)) * 0.1
@@ -443,15 +456,15 @@ def test_mst_cut_with_duplicates_and_two_blobs():
     # 11 exact duplicates: a[0] three times, a[1..6] and b[0..2] twice
     P = np.vstack([a, a[:7], b, b[:3], a[:1]])
     P = P[rng.permutation(len(P))]
-    order, parent, length = _mst(P)
-    assert sorted(order) == list(range(len(P)))
+    ea, eb, length = _mst(P)
+    assert_spanning_tree(P, ea, eb, length)
     assert np.count_nonzero(length == 0.0) == 11
     for radius in (0.0, 0.05, 0.2, 1.0, 10.0):
-        labels, count = _cut_labels(order, parent, length, radius)
+        labels, count = _cut_labels(ea, eb, length, radius)
         ref = brute_single_linkage(P, radius)
         assert np.array_equal(labels, ref)
         assert count == ref.max() + 1
-    assert _cut_labels(order, parent, length, 1.0)[1] == 2
+    assert _cut_labels(ea, eb, length, 1.0)[1] == 2
 
 
 def reference_mst(P):
@@ -477,24 +490,91 @@ def reference_mst(P):
     return order, parent, length
 
 
-def shortest_edges(parent, length):
-    nn = length.copy()
-    np.minimum.at(nn, parent[1:], length[1:])
+def point_prim_mst(P):
+    """The second reference: the point-by-point frontier Prim that `_mst`
+    replaced.  It sums squared coordinate differences in order, as `_mst`
+    does, so sorted lengths agree bit for bit in every dimension."""
+    n = len(P)
+    order = np.zeros(n, dtype=int)
+    parent = np.full(n, -1)
+    length = np.full(n, np.inf)
+    Q, idx = P.T[:, 1:].copy(), np.arange(1, n)
+    d, near = np.full(n - 1, np.inf), np.zeros(n - 1, dtype=int)
+    i = 0
+    for k in range(1, n):
+        D = Q - P[i, :, None]
+        D *= D
+        di = np.add.reduce(D, axis=0)
+        closer = di < d
+        np.copyto(d, di, where=closer)
+        np.copyto(near, i, where=closer)
+        j = int(np.argmin(d))
+        i = int(idx[j])
+        order[k], parent[i], length[i] = i, near[j], d[j]
+        m = n - 1 - k
+        Q[:, j], idx[j], d[j], near[j] = Q[:, m], idx[m], d[m], near[m]
+        Q, idx, d, near = Q[:, :m], idx[:m], d[:m], near[:m]
+    return order, parent, np.sqrt(length)
+
+
+def tree_edges(parent, length):
+    """A parent-array tree as the edge arrays `_mst` returns."""
+    child = np.flatnonzero(parent >= 0)
+    return parent[child], child, length[child]
+
+
+def shortest_edges(n, a, b, length):
+    nn = np.full(n, np.inf)
+    np.minimum.at(nn, a, length)
+    np.minimum.at(nn, b, length)
     return nn
 
 
 def mst_clouds(dim):
-    """Clouds that stress ties: two points, a scaled Gaussian blob with
-    exact duplicates, collinear points at repeated spacings, and integer
-    lattice points, whose distances tie in many ways."""
+    """Clouds that stress ties and the contraction: two points, a scaled
+    Gaussian blob with exact duplicates, collinear points at repeated
+    spacings, integer lattice points (whose distances tie in many ways),
+    every point equal (median gap 0: no contraction), a lattice whose
+    widest coordinate repeats but whose median gap is 1, and from dim 2 a
+    comb where no pair lies within the contraction radius."""
     rng = np.random.default_rng(100 + dim)
     blob = rng.normal(size=(150, dim)) * rng.uniform(0.01, 10.0, size=dim)
     blob = np.vstack([blob, blob[:12], blob[:3]])
     steps = rng.choice([0.0, 0.25, 0.5, 1.0], size=120)
     line = np.cumsum(steps)[:, None] * rng.normal(size=dim) + rng.normal(size=dim)
     lattice = rng.integers(-3, 4, size=(150, dim)).astype(float)
-    return [rng.normal(size=(2, dim)), blob[rng.permutation(len(blob))],
-            line[rng.permutation(len(line))], lattice]
+    equal = np.tile(rng.normal(size=dim), (40, 1))
+    column = np.repeat(np.arange(60), rng.integers(1, 3, size=60))
+    repeats = np.column_stack([column, rng.integers(-2, 3, size=(len(column), dim - 1))])
+    clouds = [rng.normal(size=(2, dim)), blob[rng.permutation(len(blob))],
+              line[rng.permutation(len(line))], lattice, equal,
+              repeats[rng.permutation(len(repeats))].astype(float)]
+    if dim >= 2:
+        clouds.append(comb_cloud(dim)[rng.permutation(200)])
+    return clouds
+
+
+def comb_cloud(dim):
+    """200 points x = k, y = (K + 1) (k mod (K + 1)), K = CONTRACT_GAPS:
+    x is the widest coordinate with median gap 1, and any two points
+    within K along x differ by at least K + 1 in y."""
+    k = np.arange(200)
+    P = np.zeros((200, dim))
+    P[:, 0] = k
+    P[:, 1] = (CONTRACT_GAPS + 1) * (k % (CONTRACT_GAPS + 1))
+    return P
+
+
+def test_short_forest_contracts_only_where_pairs_are_short(acceptance_fibers):
+    for P in (np.tile([1.0, 2.0, 3.0], (40, 1)), comb_cloud(3)):
+        root, a, b = _short_forest(P)
+        assert len(a) == len(b) == 0
+        assert np.array_equal(root, np.arange(len(P)))
+    for s in acceptance_fibers:
+        root, a, b = _short_forest(s.points)
+        components = len(np.unique(root))
+        assert len(a) == len(s.points) - components
+        assert components < len(s.points) // 10
 
 
 @pytest.mark.parametrize("dim", range(1, 8))
@@ -512,27 +592,128 @@ def test_squared_distances_in_coordinate_order_have_the_norm_bits(dim):
 @pytest.mark.parametrize("dim", range(1, 8))
 def test_mst_matches_the_norm_prim_reference(dim):
     for P in mst_clouds(dim):
-        order, parent, length = _mst(P)
+        a, b, length = _mst(P)
         ref_order, ref_parent, ref_length = reference_mst(P)
-        assert order[0] == 0 and parent[0] == -1 and length[0] == np.inf
-        assert sorted(order) == list(range(len(P)))
-        position = np.argsort(order)
-        assert np.all(position[parent[order[1:]]] < np.arange(1, len(P)))
-        assert np.array_equal(length[1:], np.linalg.norm(P[1:] - P[parent[1:]], axis=1))
-        assert np.array_equal(np.sort(length[1:]), np.sort(ref_length[1:]))
-        assert np.array_equal(shortest_edges(parent, length),
-                              shortest_edges(ref_parent, ref_length))
+        assert_spanning_tree(P, a, b, length)
+        assert np.array_equal(length, np.linalg.norm(P[a] - P[b], axis=1))
+        assert np.array_equal(np.sort(length), np.sort(ref_length[1:]))
+        ref = tree_edges(ref_parent, ref_length)
+        assert np.array_equal(shortest_edges(len(P), a, b, length),
+                              shortest_edges(len(P), *ref))
         edges = np.sort(ref_length[1:])
         for radius in (0.0, *np.quantile(edges, [0.1, 0.5, 0.9]), edges[len(edges) // 2], edges[-1]):
-            labels, count = _cut_labels(order, parent, length, radius)
-            ref_labels, ref_count = _cut_labels(ref_order, ref_parent, ref_length, radius)
+            labels, count = _cut_labels(a, b, length, radius)
+            ref_labels, ref_count = _cut_labels(*ref, radius)
             assert count == ref_count
             assert np.array_equal(labels, ref_labels)
+
+
+@pytest.mark.parametrize("dim", range(1, 11))
+def test_mst_matches_the_point_by_point_prim_bit_for_bit(dim):
+    for P in mst_clouds(dim):
+        a, b, length = _mst(P)
+        ref = tree_edges(*point_prim_mst(P)[1:])
+        assert np.array_equal(np.sort(length), np.sort(ref[2]))
+        assert np.array_equal(shortest_edges(len(P), a, b, length),
+                              shortest_edges(len(P), *ref))
 
 
 @pytest.mark.parametrize("dim", range(8, 11))
 def test_mst_lengths_at_dim_8_and_above_match_to_rounding(dim):
     # numpy's norm sums 8 or more squares pairwise, _mst in order
     for P in mst_clouds(dim):
-        length = np.sort(_mst(P)[2][1:])
+        length = np.sort(_mst(P)[2])
         np.testing.assert_allclose(length, np.sort(reference_mst(P)[2][1:]), rtol=1e-15, atol=0)
+
+
+def test_mst_on_sampled_fibers_matches_the_point_by_point_prim(acceptance_fibers):
+    # FAILING_MAP's two lines and parabola, and a 4-D fiber of a mixed map
+    mixed = sample_fiber(G_MIXED.to_real_map(), (1.0, 0.0), 2.0, count=600, rng_seed=0)
+    for P in (*(s.points for s in acceptance_fibers), mixed.points):
+        a, b, length = _mst(P)
+        assert_spanning_tree(P, a, b, length)
+        ref = tree_edges(*point_prim_mst(P)[1:])
+        assert np.array_equal(np.sort(length), np.sort(ref[2]))
+        assert np.array_equal(shortest_edges(len(P), a, b, length),
+                              shortest_edges(len(P), *ref))
+        for radius in np.quantile(length, [0.5, 0.99, 1.0]):
+            assert np.array_equal(_cut_labels(a, b, length, radius)[0],
+                                  _cut_labels(*ref, radius)[0])
+
+
+def test_mst_memory_stays_below_the_newton_that_made_the_cloud():
+    # the MST's blocks are capped so that fiber sampling's peak stays the
+    # Newton step's: 2000 seeds on FAILING_MAP's two lines
+    seeds = sampling.ball_points(3, 2000, 3.0, 0)
+    tracemalloc.start()
+    try:
+        X, rn = fiber_newton(np.array([1.0, 0.0]), seeds)
+        newton_peak = tracemalloc.get_traced_memory()[1]
+        P = X[(rn <= NEWTON_TOL) & (np.linalg.norm(X, axis=1) <= 3.0)]
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        _mst(P)
+        mst_peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert len(P) > 1900
+    assert mst_peak < newton_peak
+
+
+def persistent_count_loop(edges, floor, start, diameter):
+    """The reference for `_persistent_count`: one math.log per plateau."""
+    n = len(edges) + 1
+    e = np.maximum(edges, floor)
+    top = max(diameter, float(e[-1]) * 2.0, start * 2.0)
+    uniq, mult = np.unique(e, return_counts=True)
+    merged = np.cumsum(mult)
+    lefts = np.concatenate([[floor], uniq])
+    rights = np.concatenate([uniq, [top]])
+    counts = np.concatenate([[n], n - merged])
+    best = (0.0, 1, top)
+    for c, lo, hi in zip(counts, lefts, rights):
+        lo = max(lo, start)
+        if hi <= lo:
+            continue
+        span = math.log(hi / lo)
+        if span > best[0]:
+            best = (span, int(c), math.sqrt(lo * hi))
+    return best[1], best[2]
+
+
+def test_persistent_count_matches_the_loop(acceptance_fibers):
+    cases = [(np.array([1.0, 2.0, 4.0, 8.0]), 0.5, 0.5, 8.0),   # equal spans: the first wins
+             (np.array([0.0, 0.0, 3.0, 3.0, 3.0]), 1e-9, 1e-9, 6.0),
+             (np.array([1.0, 1.0]), 1e-9, 5.0, 1.0)]
+    for s in acceptance_fibers:
+        a, b, length = _mst(s.points)
+        floor = 1e-9 * s.eps
+        diameter = float(np.linalg.norm(s.points.max(axis=0) - s.points.min(axis=0)))
+        cases.append((np.sort(length), floor, max(s.nn_median, floor), diameter))
+    rng = np.random.default_rng(9)
+    for _ in range(200):
+        edges = np.sort(np.round(rng.lognormal(0.0, 2.0, rng.integers(1, 40)), 1))
+        cases.append((edges, 0.01, float(rng.choice(edges)), float(edges[-1]) * rng.uniform(1, 3)))
+    for case in cases:
+        assert _persistent_count(*case) == persistent_count_loop(*case)
+
+
+def test_fiber_components_on_and_off_the_discriminant_ray():
+    """ROADMAP item 3, pinned as found: `analyze` calls z1 z1~ + z2^3 z2~
+    a FibrationMainTheorem member whose discriminant is the ray of
+    positive reals, and the sampled fiber has 1 component on the ray and
+    2 off it.
+
+    By hand: with w = c - |z1|^2 the fiber is z2^2 |z2|^2 = w.  For w != 0
+    z2 takes two opposite values, real when w > 0 and imaginary when
+    w < 0.  Off the ray w never vanishes, so the fiber is two disjoint
+    graphs over the z1-disk; on the ray (c > 0) the two sheets meet where
+    z2 = 0 on the circle |z1|^2 = c, which lies in the critical set, and
+    the fiber is connected there.  The verdict claims nothing about
+    component counts over discriminant values.
+    """
+    f = parse_mixed("z1 z1~ + z2^3 z2~").to_real_map()
+    for c, expected in ((0.05, 1), (0.2, 1), (-0.05, 2), (-0.2, 2), (0.05j, 2)):
+        s = sample_fiber(f, (c.real, c.imag), 1.0, count=2000, rng_seed=0)
+        assert s.component_count == expected, c
+        assert not s.unreliable
