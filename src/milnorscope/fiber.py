@@ -9,9 +9,12 @@ sampling resolution of the cloud) wins, and cutting the same tree at
 that radius labels the components.
 The tree is built in two exact steps: the minimum spanning forest of
 the pairs closer than a small contraction radius (a sweep along the
-widest coordinate and a few vectorised Borůvka rounds), then Prim over
-that forest's components, so the Python loop runs once per component
-rather than once per point.
+coordinate with the largest median gap and a few vectorised Borůvka
+rounds), then a lazy Prim over that forest's components.  It bounds a
+large component's distances by bounding boxes and measures them only
+when a bound reaches the front (Bentley and Friedman 1978), so the
+Python loop runs about once per component rather than once per point,
+and a curve's cloud takes far fewer than N^2/2 distances.
 Sampling gaps of a connected piece close at small radii while genuinely
 separate pieces only merge near their true separation, so the stable
 count is the sampled one.  The count is descriptive: it says how the
@@ -231,6 +234,9 @@ SWEEP_PAIRS = 32
 # when a component updates the Prim frontier.
 PAIR_BLOCK = 2048
 ROW_BLOCK = 8192
+# The Prim frontier drops the columns of points that joined one by one
+# (moved to infinity) once every this many joins.
+COMPACT_JOINS = 32
 
 
 def _sq(PT: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -244,15 +250,21 @@ def _sq(PT: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 def _nearest_sq(Q: np.ndarray, X: np.ndarray) -> np.ndarray:
     """For each column of Q, its squared distance to the nearest column of
-    X (both (dim, .)), summed over the coordinates in order."""
-    acc = Q[0] - X[0, :, None]
-    acc *= acc
-    t = np.empty_like(acc)
-    for q, x in zip(Q[1:], X[1:]):
-        np.subtract(q, x[:, None], out=t)
-        t *= t
-        acc += t
-    return np.minimum.reduce(acc, axis=0)
+    X (both (dim, .)), summed over the coordinates in order, in blocks of
+    at most ROW_BLOCK distances."""
+    rows = max(1, ROW_BLOCK // max(Q.shape[1], 1))
+    best = np.full(Q.shape[1], np.inf)
+    for lo in range(0, X.shape[1], rows):
+        Xb = X[:, lo:lo + rows]
+        acc = Q[0] - Xb[0, :, None]
+        acc *= acc
+        t = np.empty_like(acc)
+        for q, x in zip(Q[1:], Xb[1:]):
+            np.subtract(q, x[:, None], out=t)
+            t *= t
+            acc += t
+        np.minimum(best, np.minimum.reduce(acc, axis=0), out=best)
+    return best
 
 
 def _union(comp: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -282,27 +294,31 @@ def _union(comp: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
 def _short_forest(P: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Minimum spanning forest of the pairs of P closer than a radius r.
 
-    The points are sorted along their widest coordinate and r is
-    CONTRACT_GAPS times the median gap along it (no contraction when that
-    gap is 0, or when the sweep would test more than SWEEP_PAIRS pairs per
-    point).  A sweep of the sorted order lists every pair whose squared
-    distance is below R = r*r: such a pair is closer than r along the sort
-    coordinate too, since each squared term of the in-order sum is at most
-    the sum.  Borůvka rounds then join every component to its first
-    outgoing pair in a stable sort by squared length, so ties never close a
-    cycle.  All pairs below R are present, so each pair taken is the
-    shortest edge leaving a component of the full graph: by the cut
-    property the forest lies in a minimum spanning tree for any r.
+    The points are sorted along the coordinate with the largest median
+    gap between sorted neighbors, and r is CONTRACT_GAPS times that gap (no
+    contraction when it is 0, or when the sweep would test more than
+    SWEEP_PAIRS pairs per point).  Along the widest coordinate instead,
+    points that pile up in a short stretch of it (a parabola near its
+    vertex) crowd the sweep window.  A sweep of the sorted order lists
+    every pair whose squared distance is below R = r*r: such a pair is
+    closer than r along the sort coordinate too, since each squared term
+    of the in-order sum is at most the sum.  Borůvka rounds then join
+    every component to its first outgoing pair in a stable sort by
+    squared length, so ties never close a cycle.  All pairs below R are
+    present, so each pair taken is the shortest edge leaving a component
+    of the full graph: by the cut property the forest lies in a minimum
+    spanning tree for any r.
 
     Returns each point's component, as the index of one of its members,
     and the forest's edges (a, b).
     """
     n = len(P)
     none = np.zeros(0, dtype=int)
-    w = int(np.argmax(P.max(axis=0) - P.min(axis=0)))
+    gaps = np.median(np.diff(np.sort(P, axis=0), axis=0), axis=0)
+    w = int(np.argmax(gaps))
     o = np.argsort(P[:, w], kind="stable")
     xs = P[o, w]
-    r = CONTRACT_GAPS * float(np.median(np.diff(xs)))
+    r = CONTRACT_GAPS * float(gaps[w])
     window = np.searchsorted(xs, xs + r, side="right") - np.arange(1, n + 1)
     ends = np.cumsum(window)
     if r == 0.0 or ends[-1] > SWEEP_PAIRS * n:
@@ -356,30 +372,61 @@ def _short_forest(P: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return root, o[np.concatenate(fa)], o[np.concatenate(fb)]
 
 
+def _box_sq(lo: np.ndarray, hi: np.ndarray, glo: np.ndarray, ghi: np.ndarray) -> np.ndarray:
+    """Squared distances from the boxes [lo, hi] (columns of (dim, .)
+    arrays) to the boxes [glo, ghi], summed over the coordinates in order.
+
+    Rounding is monotone, so each is at most the squared distance, summed
+    in the same order, between any point of one box and any of the other.
+    """
+    acc = np.maximum(glo[0] - hi[0], lo[0] - ghi[0])
+    np.maximum(acc, 0.0, out=acc)
+    acc *= acc
+    for l, h, gl, gh in zip(lo[1:], hi[1:], glo[1:], ghi[1:]):
+        t = np.maximum(gl - h, l - gh)
+        np.maximum(t, 0.0, out=t)
+        t *= t
+        acc += t
+    return acc
+
+
 def _mst(P: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Exact Euclidean minimum spanning tree of N >= 2 points: its N - 1
     edges as endpoint arrays a, b and their lengths.
 
     Step 1 contracts the short-edge forest (`_short_forest`).  Step 2 is
-    Prim over its components: the tree starts as the largest one (point 0
-    when every component is a single point), and the frontier point
-    nearest the tree joins with its whole component.  The frontier is a
-    (dim, m) array of the m points outside the tree, with their indices,
+    a lazy Prim over its components: the tree starts as the largest one
+    (point 0 when every component is a single point), and the frontier
+    component nearest the tree joins whole.  The frontier is a (dim, m)
+    array of the points outside the tree, with their indices, exact
     squared distances to the tree and the tree component each is nearest
-    to.  A single point is swap-removed and updates the frontier in one
-    pass; a component of several is compacted out and updates it in
-    blocks of ROW_BLOCK distances.  A joining point's tree neighbor is
-    found inside the component its distance came from.  With no short
+    to.  A single point that joins moves its column to infinity, where it
+    is never nearest (the frontier drops such columns every COMPACT_JOINS
+    joins), and updates the frontier in one exact pass; so does a
+    component whose distances to the frontier fit in one block of
+    ROW_BLOCK.  A larger component computes no distance when it joins:
+    each frontier component (a single point is one) takes the squared
+    distance between its bounding box and the joining one's as a lower
+    bound, where that lies below the distance of one of its points.  Each
+    frontier component keeps one pending bound, the smallest over the tree
+    components it has not been measured against.  While the smallest
+    pending bound lies below every exact distance, its component is
+    measured exactly against that tree component and its bound moves on
+    to the next (Bentley and Friedman 1978 prune Prim this way); then the
+    point with the smallest exact distance joins, and its tree neighbor
+    is found inside the component its distance came from.  With no short
     pair this is the point-by-point frontier Prim.
 
-    Every squared distance is summed over the coordinates in order, so
-    the forest, the frontier and the neighbor search agree bit for bit;
-    for dim <= 7 these sums have the bits of np.linalg.norm(P - P[i],
-    axis=1) squared (numpy sums 8 or more terms pairwise).  sqrt is
-    monotone, so the tree is an MST of the lengths.  Every MST has the
-    same sorted lengths, shortest edge at each point and components under
-    any cut radius, so the count, its radius, the labels and nn_median do
-    not depend on which MST the contraction and ties pick.
+    Every squared distance and bound is summed over the coordinates in
+    order, so the forest, the frontier and the neighbor search agree bit
+    for bit and no bound exceeds a distance it stands for: the smallest
+    key, once exact, is a shortest edge leaving the tree.  For dim <= 7
+    these sums have the bits of np.linalg.norm(P - P[i], axis=1) squared
+    (numpy sums 8 or more terms pairwise).  sqrt is monotone, so the tree
+    is an MST of the lengths.  Every MST has the same sorted lengths,
+    shortest edge at each point and components under any cut radius, so
+    the count, its radius, the labels and nn_median do not depend on
+    which MST the contraction and ties pick.
     """
     n = len(P)
     comp, fa, fb = _short_forest(P)
@@ -388,15 +435,53 @@ def _mst(P: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     start = np.cumsum(count) - count
     members = np.argsort(comp, kind="stable")
     single = (count[comp] == 1).tobytes()
+    # per component, by its rank among the roots: its bounding box, its
+    # pending bound and the bounded tree components (positions in `tree`,
+    # the ranks of those that joined) it was measured against
+    roots = np.flatnonzero(count)
+    rank = np.zeros(n, dtype=int)
+    rank[roots] = np.arange(len(roots))
+    ordered = PT.take(members, axis=1)
+    lo = np.minimum.reduceat(ordered, start[roots], axis=1)
+    hi = np.maximum.reduceat(ordered, start[roots], axis=1)
+    del ordered
+    bound = np.full(len(roots), np.inf)
+    measured: dict[int, list[int]] = {}
+    tree: list[int] = []
+    pending = np.inf
     i = j = int(count.argmax())
     Q, idx = PT.copy(), np.arange(n)
     d, near = np.full(n, np.inf), np.full(n, i)
-    m = n
     joins = n - 1 - len(fa)
     ea, eb, ew = np.empty(joins, dtype=int), np.empty(joins, dtype=int), np.empty(joins)
     for k in range(-1, joins):
         if k >= 0:
             j = int(d.argmin())
+            while pending < d[j]:
+                # the smallest bound lies below every distance: measure its
+                # component against the nearest box of a tree component not
+                # yet measured, then bound it by the next one (a component
+                # that joined leaves its bound behind; it is dropped here)
+                e = int(bound.argmin())
+                sel = np.flatnonzero((comp[idx] == roots[e]) & (Q[0] < np.inf))
+                if sel.size:
+                    b = _box_sq(lo[:, tree], hi[:, tree], lo[:, e, None], hi[:, e, None])
+                    done = measured.setdefault(e, [])
+                    b[done] = np.inf
+                    t = int(b.argmin())
+                    g = int(roots[tree[t]])
+                    di = _nearest_sq(Q.take(sel, axis=1),
+                                     PT.take(members[start[g]:start[g] + count[g]], axis=1))
+                    closer = di < d[sel]
+                    d[sel[closer]] = di[closer]
+                    near[sel[closer]] = g
+                    done.append(t)
+                    b[t] = np.inf
+                    bound[e] = b.min()
+                else:
+                    bound[e] = np.inf
+                pending = float(bound.min())
+                j = int(d.argmin())
             i = int(idx[j])
             h = int(near[j])
             if not single[h]:
@@ -404,27 +489,36 @@ def _mst(P: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
                 h = int(grp[_nearest_sq(PT.take(grp, axis=1), P[i, :, None]).argmin()])
             ea[k], eb[k], ew[k] = h, i, d[j]
         if single[i]:
-            m -= 1
-            Q[:, j], idx[j], d[j], near[j] = Q[:, m], idx[m], d[m], near[m]
-            Q, idx, d, near = Q[:, :m], idx[:m], d[:m], near[:m]
+            Q[:, j], d[j] = np.inf, np.inf
+            if k % COMPACT_JOINS == 0:
+                keep = Q[0] < np.inf
+                Q, idx, d, near = Q.compress(keep, axis=1), idx[keep], d[keep], near[keep]
             D = Q - P[i, :, None]
             D *= D
-            di = np.add.reduce(D, axis=0)
-            closer = di < d
-            np.copyto(d, di, where=closer)
-            np.copyto(near, i, where=closer)
+            di, src = np.add.reduce(D, axis=0), i
         else:
             g = comp[i]
-            keep = comp[idx] != g
+            keep = (comp[idx] != g) & (Q[0] < np.inf)
             Q, idx, d, near = Q.compress(keep, axis=1), idx[keep], d[keep], near[keep]
-            m = len(idx)
-            new = members[start[g]:start[g] + count[g]]
-            rows = max(1, ROW_BLOCK // max(m, 1))
-            for lo in range(0, len(new), rows):
-                di = _nearest_sq(Q, PT.take(new[lo:lo + rows], axis=1))
-                closer = di < d
-                np.copyto(d, di, where=closer)
-                np.copyto(near, g, where=closer)
+            grp = PT.take(members[start[g]:start[g] + count[g]], axis=1)
+            if grp.shape[1] * Q.shape[1] > ROW_BLOCK:
+                # too many distances for one block: bound them instead
+                e = int(rank[g])
+                tree.append(e)
+                r = rank[comp[idx]]
+                b = _box_sq(lo, hi, lo[:, e, None], hi[:, e, None])
+                # only components with a point whose distance lies above
+                # the bound could come closer
+                useful = np.zeros(len(roots), dtype=bool)
+                useful[r[b[r] < d]] = True
+                b[~useful] = np.inf
+                np.minimum(bound, b, out=bound)
+                pending = float(bound.min())
+                continue
+            di, src = _nearest_sq(Q, grp), g
+        closer = di < d
+        np.copyto(d, di, where=closer)
+        np.copyto(near, src, where=closer)
     return (np.concatenate([fa, ea]), np.concatenate([fb, eb]),
             np.sqrt(np.concatenate([_sq(PT, fa, fb), ew])))
 
@@ -478,6 +572,27 @@ def _cut_labels(a: np.ndarray, b: np.ndarray, length: np.ndarray,
     return labels, len(roots)
 
 
+def _singular_count(J: np.ndarray) -> int:
+    """How many (p, n) matrices of the stack J have sigma_min <= 1e-8
+    sigma_max (1e-300 standing in for a zero sigma_max).
+
+    For p <= n, G = J J^T has det G <= sigma_min^2 sigma_max^(2p - 2) and
+    tr G >= sigma_max^2, so det G > 1e-12 (tr G)^p certifies sigma_min >
+    1e-6 sigma_max, far from the test.  Only the other matrices take the
+    SVD: uncertain, overflowed or non-finite ones (whose SVD fails as it
+    would in a full one), and all of them when p > n.  Each matrix's
+    verdict depends only on itself, so the count is the full SVD's.
+    """
+    uncertain = np.ones(len(J), dtype=bool)
+    p, n = J.shape[1:]
+    if p <= n:
+        with np.errstate(over="ignore", invalid="ignore"):
+            G = J @ J.transpose(0, 2, 1)
+            uncertain = ~(np.linalg.det(G) > 1e-12 * np.trace(G, axis1=1, axis2=2) ** p)
+    sv = np.linalg.svd(J[uncertain], compute_uv=False)
+    return int(np.count_nonzero(sv[:, -1] <= 1e-8 * np.maximum(sv[:, 0], 1e-300)))
+
+
 def sample_fiber(f: RealPolynomialMap, c, eps: float,
                  count: int = 2000, rng_seed: int = 0) -> FiberSample:
     """Sample f^{-1}(c) inside the closed eps-ball.
@@ -511,12 +626,7 @@ def sample_fiber(f: RealPolynomialMap, c, eps: float,
     keep = (rn <= NEWTON_TOL) & (np.linalg.norm(X, axis=1) <= eps)
     pts = X[keep]
     res = rn[keep]
-    if len(pts):
-        J = f.grad_many(pts)
-        sv = np.linalg.svd(J, compute_uv=False)
-        singular = int(np.count_nonzero(sv[:, -1] <= 1e-8 * np.maximum(sv[:, 0], 1e-300)))
-    else:
-        singular = 0
+    singular = _singular_count(f.grad_many(pts))
     if len(pts) >= 2:
         a, b, length = _mst(pts)
         # a point's nearest-neighbor edge is always a tree edge

@@ -10,7 +10,9 @@ numerics, which are vectorised over batches of points.
 `_flatten`; `grad_many` runs the kernel of the map's `derivative`:
 
 - a power table: the distinct (variable, exponent >= 1) pairs that occur,
-  plus a ones column, raised with one array-exponent `np.power` per call;
+  plus a ones column; the exponent-1 columns are gathered from the
+  points, and the others are raised with one array-exponent `np.power`
+  per call;
 - each monomial's value: the product of its non-trivial factors in
   variable order (padded with the ones column), times its coefficient;
 - each polynomial's value: its monomials summed by `np.add.at`, in
@@ -19,9 +21,10 @@ numerics, which are vectorised over batches of points.
 Contract: the values are bit-identical, NaN signs included, to raising
 every point to every monomial's full exponent row (`x ** E`), taking
 each row's product and summing as above, and the kernel warns on exactly
-the inputs that formula warns on (the skipped factors are x**0 = 1.0,
-which is exact and raises nothing).  Each row depends only on its own
-point, so a batch gives the same bits as its rows one at a time.
+the inputs that formula warns on (the skipped factors are x**0 = 1.0
+and the gathered ones x**1 = x, both exact and raising nothing).  Each
+row depends only on its own point, so a batch gives the same bits as its
+rows one at a time.
 """
 
 from __future__ import annotations
@@ -66,8 +69,9 @@ def _eval_exact(poly: Monomials, xs: Sequence[Fraction]) -> Fraction:
 def _flatten(polys: Sequence[Monomials], n: int):
     # Compile the polynomials into the kernel `_evaluate` runs (see the
     # module docstring); row k of F, C and S belongs to monomial k.
-    #   pv, pe  the power table: variable and exponent of each column; the
-    #           last column is (0, 0), which pow makes 1.0 everywhere
+    #   pv      variable of each power-table column: first the k columns
+    #           of exponent 1, then those pow raises, the last (0, 0)
+    #   ep      exponents of the raised columns; pow makes (0, 0) 1.0
     #   F       (m, w) power-table columns of each monomial's factors, in
     #           variable order, padded with the ones column
     #   C, S    (m, 1) coefficients and (m,) polynomial indices
@@ -76,13 +80,16 @@ def _flatten(polys: Sequence[Monomials], n: int):
         # one monomial in one variable: x ** E then takes numpy's
         # scalar-exponent path, which squares as x * x
         rows = [[(0, 1), (0, 1)]]
-    pairs = sorted({pair for row in rows for pair in row}) + [(0, 0)]
-    column = {pair: i for i, pair in enumerate(pairs)}
+    pairs = sorted({pair for row in rows for pair in row})
+    ones = [pair for pair in pairs if pair[1] == 1]
+    raised = [pair for pair in pairs if pair[1] != 1] + [(0, 0)]
+    column = {pair: i for i, pair in enumerate(ones + raised)}
     width = max([1] + [len(row) for row in rows])
-    factors = [[column[pair] for pair in row] + [len(pairs) - 1] * (width - len(row))
+    factors = [[column[pair] for pair in row] + [len(column) - 1] * (width - len(row))
                for row in rows]
-    return (np.array([j for j, _ in pairs], dtype=np.intp),
-            np.array([e for _, e in pairs], dtype=float),
+    return (np.array([j for j, _ in ones + raised], dtype=np.intp),
+            len(ones),
+            np.array([e for _, e in raised], dtype=float),
             np.array(factors, dtype=np.intp).reshape(-1, width),
             np.array([float(c) for poly in polys for c in poly.values()])[:, None],
             np.array([k for k, poly in enumerate(polys) for _ in poly], dtype=np.intp),
@@ -173,10 +180,17 @@ class RealPolynomialMap:
             X = X[None, :]
         if X.shape[1] != self.n:
             raise ValueError("points have wrong dimension")
-        pv, pe, F, C, S, count = compiled
-        # the exponents vary along pow's inner loop (at least two columns),
-        # which keeps numpy on its array-exponent path, as x ** E takes
-        T = np.power(X[:, pv], pe).T.copy()
+        pv, k, ep, F, C, S, count = compiled
+        # x ** 1 is x, bit for bit and without a warning, so the first k
+        # columns are gathered only; pow raises the rest in place, and
+        # their exponents vary along its inner loop (with the ones column,
+        # at least two wherever a column is raised), which keeps numpy on
+        # its array-exponent path, as x ** E takes; raised alone, the ones
+        # column is 1.0 on any path
+        T = X[:, pv]
+        R = T[:, k:]
+        np.power(R, ep, out=R)
+        T = T.T.copy()
         # numpy multiplies along a reduction in order, so each product
         # rounds as the full row's did (its other factors were exact 1.0s)
         P = np.multiply.reduce(T.take(F, axis=0), axis=1) * C

@@ -3,6 +3,7 @@
 import dataclasses
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -25,15 +26,18 @@ from milnorscope import (
     sample_fiber,
     sampling,
 )
+from milnorscope import fiber
 from milnorscope.fiber import (
     CONTRACT_GAPS,
     NEWTON_MAX_ITER,
     NEWTON_TOL,
+    SWEEP_PAIRS,
     _cut_labels,
     _min_norm_step,
     _mst,
     _persistent_count,
     _short_forest,
+    _singular_count,
     newton_batch,
 )
 
@@ -551,7 +555,20 @@ def mst_clouds(dim):
               repeats[rng.permutation(len(repeats))].astype(float)]
     if dim >= 2:
         clouds.append(comb_cloud(dim)[rng.permutation(200)])
+    clouds.append(gappy_curve(dim, rng))
     return clouds
+
+
+def gappy_curve(dim, rng):
+    """1200 points along a smooth curve, spaced by exponential gaps with
+    a few long jumps: it contracts into components large enough that the
+    Prim bounds them by their boxes."""
+    gaps = rng.exponential(1.0, size=1200) * np.where(rng.random(1200) < 0.01, 40.0, 1.0)
+    t = np.cumsum(gaps) / 400.0
+    freq = rng.uniform(0.5, 3.0, size=dim)
+    phases = rng.uniform(0.0, 2 * np.pi, size=dim)
+    P = np.sin(t[:, None] * freq + phases) * rng.uniform(0.5, 2.0, size=dim)
+    return P[rng.permutation(len(P))]
 
 
 def comb_cloud(dim):
@@ -565,16 +582,38 @@ def comb_cloud(dim):
     return P
 
 
-def test_short_forest_contracts_only_where_pairs_are_short(acceptance_fibers):
+@pytest.fixture(scope="module")
+def pileup_parabola():
+    """A parabola fiber of FAILING_MAP (seed-7 `fiber` benchmark cloud):
+    x is constant, and along y, its widest coordinate, points near the
+    vertex pile up."""
+    return sample_fiber(FAILING_MAP, (0.558424, -0.612945), 3.0, count=2000,
+                        rng_seed=1955719539).points
+
+
+def sweep_pairs_per_point(P, w):
+    """Pairs per point in the sweep window along coordinate w, with the
+    contraction radius set by that coordinate's median gap."""
+    xs = np.sort(P[:, w])
+    r = CONTRACT_GAPS * float(np.median(np.diff(xs)))
+    window = np.searchsorted(xs, xs + r, side="right") - np.arange(1, len(xs) + 1)
+    return window.sum() / len(xs)
+
+
+def test_short_forest_contracts_only_where_pairs_are_short(acceptance_fibers, pileup_parabola):
     for P in (np.tile([1.0, 2.0, 3.0], (40, 1)), comb_cloud(3)):
         root, a, b = _short_forest(P)
         assert len(a) == len(b) == 0
         assert np.array_equal(root, np.arange(len(P)))
-    for s in acceptance_fibers:
-        root, a, b = _short_forest(s.points)
+    # sorted along its widest coordinate the parabola would skip the
+    # contraction; its largest median gap is along z
+    widest = int(np.argmax(np.ptp(pileup_parabola, axis=0)))
+    assert widest == 1 and sweep_pairs_per_point(pileup_parabola, widest) > SWEEP_PAIRS
+    for P in (*(s.points for s in acceptance_fibers), pileup_parabola):
+        root, a, b = _short_forest(P)
         components = len(np.unique(root))
-        assert len(a) == len(s.points) - components
-        assert components < len(s.points) // 10
+        assert len(a) == len(P) - components
+        assert components < len(P) // 10
 
 
 @pytest.mark.parametrize("dim", range(1, 8))
@@ -626,10 +665,24 @@ def test_mst_lengths_at_dim_8_and_above_match_to_rounding(dim):
         np.testing.assert_allclose(length, np.sort(reference_mst(P)[2][1:]), rtol=1e-15, atol=0)
 
 
-def test_mst_on_sampled_fibers_matches_the_point_by_point_prim(acceptance_fibers):
-    # FAILING_MAP's two lines and parabola, and a 4-D fiber of a mixed map
+def two_parallel_lines():
+    """Two parallel segments 0.3 apart in R^3, sampled at random spacings
+    with repeats: their boxes are flat, and many distances tie."""
+    rng = np.random.default_rng(12)
+    t = np.round(rng.uniform(0.0, 4.0, size=(2, 900)), 3)
+    u, v = np.array([1.0, 2.0, -0.5]) / math.sqrt(5.25), np.array([0.0, 0.3, 1.2])
+    P = np.vstack([t[0][:, None] * u, t[1][:, None] * u + 0.3 * v / np.linalg.norm(v)])
+    return P[rng.permutation(len(P))]
+
+
+def test_mst_on_sampled_fibers_matches_the_point_by_point_prim(acceptance_fibers, pileup_parabola):
+    # FAILING_MAP's two lines and parabolas (one piled up along its widest
+    # coordinate), two parallel lines, and 4-D fibers of a mixed map
     mixed = sample_fiber(G_MIXED.to_real_map(), (1.0, 0.0), 2.0, count=600, rng_seed=0)
-    for P in (*(s.points for s in acceptance_fibers), mixed.points):
+    surface = sample_fiber(G_MIXED.to_real_map(), (0.2, 0.0), 1.0, count=2000, rng_seed=0)
+    assert len(surface.points) == 2000
+    for P in (*(s.points for s in acceptance_fibers), pileup_parabola, two_parallel_lines(),
+              mixed.points, surface.points):
         a, b, length = _mst(P)
         assert_spanning_tree(P, a, b, length)
         ref = tree_edges(*point_prim_mst(P)[1:])
@@ -639,6 +692,74 @@ def test_mst_on_sampled_fibers_matches_the_point_by_point_prim(acceptance_fibers
         for radius in np.quantile(length, [0.5, 0.99, 1.0]):
             assert np.array_equal(_cut_labels(a, b, length, radius)[0],
                                   _cut_labels(*ref, radius)[0])
+
+
+@pytest.mark.parametrize("dim", (1, 3, 9))
+def test_mst_bounds_large_components_and_stays_exact(dim, monkeypatch):
+    # a component too large to measure in one block is bounded by its box,
+    # and the bounds are measured as they reach the front
+    bounded = []
+    box_sq = fiber._box_sq
+
+    def counted(*boxes):
+        bounded.append(1)
+        return box_sq(*boxes)
+
+    monkeypatch.setattr(fiber, "_box_sq", counted)
+    P = gappy_curve(dim, np.random.default_rng(40 + dim))
+    a, b, length = _mst(P)
+    assert bounded
+    assert_spanning_tree(P, a, b, length)
+    ref = tree_edges(*point_prim_mst(P)[1:])
+    assert np.array_equal(np.sort(length), np.sort(ref[2]))
+    assert np.array_equal(shortest_edges(len(P), a, b, length), shortest_edges(len(P), *ref))
+
+
+def full_svd_singular_count(J):
+    sv = np.linalg.svd(J, compute_uv=False)
+    return int(np.count_nonzero(sv[:, -1] <= 1e-8 * np.maximum(sv[:, 0], 1e-300)))
+
+
+def matrices_with_ratios(rng, p, n, ratios, scale):
+    """(p, n) matrices U diag(s) V^T whose smallest to largest singular
+    value ratio is each of `ratios`."""
+    out = []
+    k = min(p, n)
+    for ratio in ratios:
+        U = np.linalg.qr(rng.normal(size=(p, k)))[0]
+        V = np.linalg.qr(rng.normal(size=(n, k)))[0]
+        s = np.sort(rng.uniform(ratio, 1.0, size=k))[::-1]
+        s[0], s[-1] = 1.0, ratio
+        out.append(scale * (U * s) @ V.T)
+    return np.array(out)
+
+
+@pytest.mark.parametrize("p, n", [(1, 3), (2, 3), (2, 4), (3, 6), (3, 3), (3, 2), (4, 1)])
+def test_singular_count_matches_the_full_svd(p, n):
+    rng = np.random.default_rng(10 * p + n)
+    ratios = np.concatenate([10.0 ** rng.uniform(-9, -5, size=300), 10.0 ** -np.arange(5, 10)])
+    for scale in (1.0, 1e-150, 1e150):
+        J = matrices_with_ratios(rng, p, n, ratios, scale)
+        J = np.concatenate([J, np.zeros((3, p, n)), rng.normal(size=(40, p, n)) * 1e200])
+        J = J[rng.permutation(len(J))]
+        assert _singular_count(J) == full_svd_singular_count(J)
+    assert _singular_count(np.zeros((0, p, n))) == full_svd_singular_count(np.zeros((0, p, n))) == 0
+    for bad in (np.nan, np.inf):
+        J = rng.normal(size=(20, p, n))
+        J[7, 0, 0] = bad
+        assert outcome(_singular_count, J) == outcome(full_svd_singular_count, J)
+
+
+def outcome(count, J):
+    """count(J), or the name of the exception it raised, and whether it
+    warned."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            result = count(J)
+        except np.linalg.LinAlgError as exc:
+            result = type(exc).__name__
+    return result, [str(w.message) for w in caught]
 
 
 def test_mst_memory_stays_below_the_newton_that_made_the_cloud():

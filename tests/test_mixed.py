@@ -418,6 +418,12 @@ PINNED_MAPS = {
     # one monomial in one variable
     "square": parse_real_map("(x^2) vars x"),
     "cube": parse_real_map("(-1/3*x^3) vars x"),
+    # pow raises one exponent-2 column beside the ones column; the
+    # exponent-1 columns are gathered (names sort last, which keeps the
+    # other maps' seeds)
+    "x^2 beside linear": parse_real_map("(x^2 + y, x*y - 3*y) vars x,y"),
+    # every factor has exponent 1: pow raises the ones column alone
+    "xyz linear": parse_real_map("(x*y + 2*z, x - y*z) vars x,y,z"),
 }
 BATCH_SIZES = (1, 2, 5, 2048)
 SPECIAL_VALUES = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324, -2.5e-310,
