@@ -171,6 +171,9 @@ def cmd_fiber(args) -> int:
     f = _as_real_map(_parse_any(text))
     value = _target("--value", args.value, f.p)
     if args.compare is not None:
+        if args.format == "csv":
+            raise ValueError("--compare writes a JSON comparison; it cannot be "
+                             "combined with --format csv")
         value2 = _target("--compare", args.compare, f.p)
         cmp = fiber_compare(f, value, value2, args.eps, count=args.count,
                             rng_seed=args.rng_seed)

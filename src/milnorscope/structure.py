@@ -73,10 +73,26 @@ def _colinear_class(psi: DiagonalMixedPolynomial,
     return ColinearityClass(indices, direction, ratios, theta)
 
 
+def _linear_indices(psi: DiagonalMixedPolynomial) -> tuple[int, ...]:
+    return tuple(t.j for t in psi.terms if (t.a, t.b) in ((1, 0), (0, 1)))
+
+
+def _missing_indices(psi: DiagonalMixedPolynomial) -> tuple[int, ...]:
+    return tuple(j for j in range(1, psi.n + 1) if psi.term_for(j) is None)
+
+
 @dataclass(frozen=True)
 class CriticalIndexPartition:
+    """The colinearity classes, with the index lists every builder reads.
+
+    `linear` holds the indices whose term is z_j or conj(z_j) (times a
+    coefficient), `missing` the variables with no term.
+    """
+
     critical: frozenset[int]
     classes: tuple[ColinearityClass, ...]
+    linear: tuple[int, ...]
+    missing: tuple[int, ...]
 
 
 def colinearity_classes(psi: DiagonalMixedPolynomial) -> CriticalIndexPartition:
@@ -97,7 +113,8 @@ def colinearity_classes(psi: DiagonalMixedPolynomial) -> CriticalIndexPartition:
                         if k not in used and lam_j.cross(psi.term_for(k).coeff) == 0)
         used.update(members)
         classes.append(_colinear_class(psi, members))
-    return CriticalIndexPartition(frozenset(crit), tuple(classes))
+    return CriticalIndexPartition(frozenset(crit), tuple(classes),
+                                  _linear_indices(psi), _missing_indices(psi))
 
 
 # ----------------------------------------------------------------------
@@ -123,14 +140,6 @@ class CriticalSetDescription:
     note: str | None = None
 
 
-def _linear_indices(psi: DiagonalMixedPolynomial) -> list[int]:
-    return [t.j for t in psi.terms if (t.a, t.b) in ((1, 0), (0, 1))]
-
-
-def _missing_indices(psi: DiagonalMixedPolynomial) -> list[int]:
-    return [j for j in range(1, psi.n + 1) if psi.term_for(j) is None]
-
-
 def _critical_set(psi: DiagonalMixedPolynomial,
                   part: CriticalIndexPartition) -> CriticalSetDescription:
     """The critical set as a union of coordinate subspaces, one per class.
@@ -141,11 +150,10 @@ def _critical_set(psi: DiagonalMixedPolynomial,
     differential never vanishes.  Degenerate shapes (no critical
     indices, all indices critical, absent variables) carry a note.
     """
-    linear = _linear_indices(psi)
-    missing = _missing_indices(psi)
-    if linear:
+    missing = part.missing
+    if part.linear:
         return CriticalSetDescription(
-            (), note=f"empty: the term in z{linear[0]} has a nowhere-zero differential")
+            (), note=f"empty: the term in z{part.linear[0]} has a nowhere-zero differential")
     present = sorted(t.j for t in psi.terms)
     notes = []
     if missing:
@@ -154,7 +162,7 @@ def _critical_set(psi: DiagonalMixedPolynomial,
     subspaces = []
     if not part.critical:
         zero = tuple(present)
-        free = tuple(missing)
+        free = missing
         subspaces.append(CriticalSubspace((), zero, free))
         notes.append("no critical indices: the critical set is the origin"
                      if not missing else "no critical indices")
@@ -215,7 +223,7 @@ class DiscriminantGeometry:
 def _discriminant(psi: DiagonalMixedPolynomial,
                   part: CriticalIndexPartition) -> DiscriminantGeometry:
     """Geometry of the set of critical values."""
-    if _linear_indices(psi):
+    if part.linear:
         return DiscriminantGeometry((), False, note="empty critical set")
     if not part.critical:
         return DiscriminantGeometry((), False,
@@ -270,9 +278,9 @@ def _sigma_cap_v(psi: DiagonalMixedPolynomial,
     carries per-class signs and an explicit witness point when the
     intersection is nontrivial.
     """
-    if _linear_indices(psi):
+    if part.linear:
         return True, {"note": "empty critical set", "classes": [], "witness": None}
-    missing = _missing_indices(psi)
+    missing = part.missing
     if missing:
         witness = [0j] * psi.n
         witness[missing[0] - 1] = 1 + 0j
@@ -382,7 +390,7 @@ def _verdict(psi: DiagonalMixedPolynomial, part: CriticalIndexPartition,
     not a proof that no fibration exists.  `disc`, `trivial` and
     `special` are what `analyze` built from `psi` and `part`.
     """
-    missing = _missing_indices(psi)
+    missing = part.missing
     crit = part.critical
     all_positive = not missing and all(t.a >= 1 and t.b >= 1 for t in psi.terms)
     same_arg = all(cls.all_same_argument for cls in part.classes)
@@ -397,7 +405,7 @@ def _verdict(psi: DiagonalMixedPolynomial, part: CriticalIndexPartition,
         "special_family": special is not None,
     }
 
-    linear = _linear_indices(psi)
+    linear = part.linear
     if linear:
         return FibrationVerdict(
             VerdictKind.SUBMERSION,
@@ -417,7 +425,8 @@ def _verdict(psi: DiagonalMixedPolynomial, part: CriticalIndexPartition,
             VerdictKind.FIBRATION_MAIN_THEOREM,
             ("some but not all indices critical, all exponents positive, and "
              "each colinearity class sits on a single ray, so the critical "
-             "values avoid a neighborhood of every nonzero value",),
+             "values lie on finitely many rays through the origin and fill "
+             "no complete line",),
             pre)
 
     if special is not None:

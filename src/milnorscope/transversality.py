@@ -527,6 +527,8 @@ def special_family_minor(psi: DiagonalMixedPolynomial, j: int, x,
     x = np.asarray(x, dtype=float)
     if x.shape != (2 * psi.n,):
         raise ValueError("point has wrong dimension")
+    if not np.all(np.isfinite(x)):
+        raise ValueError("point must be finite")
     o = form.odd_index
     xo = x[2 * (o - 1)]
     yo = x[2 * (o - 1) + 1]
@@ -546,75 +548,29 @@ def special_family_minor(psi: DiagonalMixedPolynomial, j: int, x,
 class ClaimCheckResult:
     holds: bool
     vacuous: bool
-    samples: int
-    min_cross_ratio: float
+    branch_signs: dict[int, int]  # critical index j -> the sign of x_o its branch forces
     note: str
 
 
-def special_family_claim_check(psi: DiagonalMixedPolynomial,
-                               samples: int = 200,
-                               rng_seed: int = 0) -> ClaimCheckResult:
-    """Numerically confirm the branch-sign incompatibility of the family.
+def special_family_claim_check(psi: DiagonalMixedPolynomial) -> ClaimCheckResult:
+    """Prove the branch-sign incompatibility of the family from its exact form.
 
     For a critical index j, the nontrivial branch of the minor zero set
-    solves 3 c S = 2 m_j a_j s_j x_o, which forces sign(x_o) =
-    sign(m_j c).  Indices with opposite coefficient signs therefore
-    demand opposite signs of x_o, so no point satisfies both branch
-    equations.  The check constructs points on one branch exactly and
-    verifies the other branch's equation stays bounded away from zero;
-    with a single sign block the claim is vacuous.
+    solves 3 c S = 2 m_j a_j s_j x_o with S > 0, so s_j > 0 and x_o takes
+    the sign of m_j c.  Both m_j and c are the exact ratios r_j and r_o
+    times the same positive length |direction|, so `branch_signs[j]` is
+    sign(r_j r_o), computed in Fractions.  The claim holds when every
+    index of the positive block and every index of the negative block
+    force opposite signs of x_o, so no point lies on both branches; with
+    a single sign block it is vacuous.
     """
     form = _family_data(psi)
-    pos = form.positive_block()
-    neg = form.negative_block()
-    if not pos or not neg:
-        return ClaimCheckResult(True, True, 0, math.inf,
-                                "single sign block: nothing to separate")
-    rng = np.random.default_rng(rng_seed)
-    o = form.odd_index
-    c = form.line.mu(o)
-    min_ratio = math.inf
-    count = 0
-    for k in range(samples):
-        j = pos[k % len(pos)]
-        other = neg[k % len(neg)]
-        if k % 2 == 1:
-            j, other = other, j
-        aj = psi.term_for(j).a
-        ao = psi.term_for(other).a
-        rj = rng.uniform(0.4, 1.4)
-        rother = rng.uniform(0.4, 1.4)
-        mj = form.line.mu(j)
-        mo = form.line.mu(other)
-        K = mj * aj * rj ** (2 * (aj - 1))
-        yo = rng.uniform(-0.9, 0.9) * abs(K / (3.0 * c))
-        disc = K * K - 9.0 * c * c * yo * yo
-        root = math.sqrt(max(disc, 0.0))
-        # stable root pair: K - root cancels when yo is small, so derive
-        # the small root from the product x_big * x_small = yo^2
-        xbig = (K + math.copysign(root, K)) / (3.0 * c)
-        xsmall = yo * yo / xbig if xbig != 0.0 else 0.0
-        for xo in (xbig, xsmall):
-            if xo == 0.0:
-                continue
-            count += 1
-            S = xo * xo + yo * yo
-            res_j = 3.0 * c * S - 2.0 * K * xo
-            scale_j = 3.0 * abs(c) * S + 2.0 * abs(K * xo)
-            if abs(res_j) > 1e-9 * scale_j:
-                return ClaimCheckResult(False, False, count, 0.0,
-                                        "constructed point missed its own branch")
-            if (xo > 0) != (mj * c > 0):
-                return ClaimCheckResult(False, False, count, 0.0,
-                                        "branch root has unexpected sign")
-            Ko = mo * ao * rother ** (2 * (ao - 1))
-            res_other = 3.0 * c * S - 2.0 * Ko * xo
-            floor = 3.0 * abs(c) * S
-            if abs(res_other) < floor * (1.0 - 1e-9):
-                return ClaimCheckResult(False, False, count, 0.0,
-                                        "opposite branch equation nearly vanished")
-            ratio = abs(res_other) / max(abs(res_j), 1e-300)
-            min_ratio = min(min_ratio, ratio)
-    return ClaimCheckResult(True, False, count, min_ratio,
+    r = form.line.ratios
+    signs = {j: 1 if r[j] * r[form.odd_index] > 0 else -1 for j in form.critical}
+    pos_signs = {signs[j] for j in form.positive_block()}
+    neg_signs = {signs[j] for j in form.negative_block()}
+    if not pos_signs or not neg_signs:
+        return ClaimCheckResult(True, True, signs, "single sign block: nothing to separate")
+    return ClaimCheckResult(pos_signs.isdisjoint(neg_signs), False, signs,
                             "branches with opposite coefficient signs force "
                             "opposite signs of x_o")

@@ -358,6 +358,34 @@ def _brute_minor(psi, j, x, component):
     return float(np.linalg.det(M[:, cols]))
 
 
+def _exact_branch_oracle(psi, branch_signs):
+    """Exact oracle for the sign claim.  For each critical j, a rational
+    point on j's nontrivial branch (y_o = 0, x_o = 2 a_j s_j r_j / (3 r_o),
+    every other coordinate nonzero) has the 3x3 minor on the columns
+    (x_j, x_o, y_o) exactly 0 and sign(x_o) = branch_signs[j], and the
+    minor of every index of the opposite sign block is nonzero there."""
+    form = special_family_form(psi)
+    f = psi.to_real_map()
+    o, r = form.odd_index, form.line.ratios
+    pos, neg = form.positive_block(), form.negative_block()
+
+    def minor(rows, k):
+        cols = (2 * (k - 1), 2 * (o - 1), 2 * (o - 1) + 1)
+        return minors_exact([[row[c] for c in cols] for row in rows], 3)[0]
+
+    for j in form.critical:
+        a = psi.term_for(j).a
+        x = [Fraction(1)] * (2 * psi.n)
+        x[2 * (j - 1)], x[2 * (j - 1) + 1] = Fraction(1, 2), Fraction(-1, 3)
+        s = (x[2 * (j - 1)] ** 2 + x[2 * (j - 1) + 1] ** 2) ** (a - 1)
+        x[2 * (o - 1)] = 2 * a * s * r[j] / (3 * r[o])
+        x[2 * (o - 1) + 1] = Fraction(0)
+        rows = f.jacobian_exact(x) + [x]
+        assert minor(rows, j) == 0
+        assert (1 if x[2 * (o - 1)] > 0 else -1) == branch_signs[j]
+        assert all(minor(rows, k) != 0 for k in (neg if j in pos else pos))
+
+
 def test_special_family_minor_oracle():
     ok = False
     try:
@@ -371,7 +399,7 @@ def test_special_family_minor_oracle():
             assert chk.holds
             if not chk.vacuous:
                 nonvacuous += 1
-                assert chk.min_cross_ratio > 1.0
+                _exact_branch_oracle(psi, chk.branch_signs)
             for x in rng.uniform(-1.5, 1.5, size=(200, 2 * psi.n)):
                 j = form.critical[rng.integers(0, len(form.critical))]
                 comp = "x" if rng.random() < 0.5 else "y"

@@ -248,6 +248,7 @@ def test_fiber_bad_numeric_list(capsys):
     ["transversality", FAILING_MAP, "--eps", "1", "--iters", "-5"],
     ["fiber", FAILING_MAP, "--value", "1,0", "--eps", "3", "--count", "0"],
     ["fiber", FAILING_MAP, "--value", "1,0", "--eps", "3", "--count", "-3"],
+    ["fiber", FAILING_MAP, "--value", "1,0", "--compare", "2,0", "--format", "csv"],
 ])
 def test_non_finite_numbers_are_bad_input(capsys, argv):
     # list options parsed by argparse exit through SystemExit
@@ -258,7 +259,11 @@ def test_non_finite_numbers_are_bad_input(capsys, argv):
     captured = capsys.readouterr()
     assert code == 2
     assert captured.out == ""
-    assert "finite" in captured.err
+    if "csv" in argv:
+        assert captured.err == ("error: --compare writes a JSON comparison; it "
+                                "cannot be combined with --format csv\n")
+    else:
+        assert "finite" in captured.err
     if "--count" in argv:
         count = argv[argv.index("--count") + 1]
         assert captured.err == f"error: count must be positive and finite, got {count}\n"

@@ -3,6 +3,7 @@ discriminant, weights, and the verdict tree."""
 
 import itertools
 import math
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -447,12 +448,25 @@ def test_analyze_builds_each_quantity_once(monkeypatch):
             return _build(*args)
 
         monkeypatch.setattr(structure, name, counted)
+    # the index scans: (helper, the function that called it)
+    scans = []
+    for name in ("_linear_indices", "_missing_indices"):
+        def scan(psi, _name=name, _scan=getattr(structure, name)):
+            scans.append((_name, sys._getframe(1).f_code.co_name))
+            return _scan(psi)
+
+        monkeypatch.setattr(structure, name, scan)
     for text in (WORKED, H_POLY, "z1 + z2 z2~", "z2 z2~"):
         calls.clear()
+        scans.clear()
         analyze(parse_mixed(text))
         assert sorted(calls) == sorted(["colinearity_classes", "_critical_set",
                                         "_discriminant", "_sigma_cap_v",
                                         "special_family_form", "_verdict"])
+        assert [s for s in scans if s[0] == "_linear_indices"] == \
+            [("_linear_indices", "colinearity_classes")]
+        assert not {caller for _, caller in scans} & {
+            "_critical_set", "_discriminant", "_sigma_cap_v", "_verdict"}
 
 
 @settings(max_examples=200, deadline=None)

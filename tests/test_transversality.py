@@ -21,6 +21,7 @@ from milnorscope import (
     search_tangency_locus,
     sample_fiber,
     special_family_claim_check,
+    special_family_form,
     special_family_minor,
     tangency_minors_exact,
 )
@@ -477,10 +478,41 @@ def special_family_members(draw):
     return DiagonalMixedPolynomial(n, terms)
 
 
+def exact_branch_oracle(psi, branch_signs):
+    """Exact oracle for the sign claim.  For each critical j, a rational
+    point on j's nontrivial branch (y_o = 0, x_o = 2 a_j s_j r_j / (3 r_o),
+    every other coordinate nonzero) has the 3x3 minor on the columns
+    (x_j, x_o, y_o) exactly 0 and sign(x_o) = branch_signs[j], and the
+    minor of every index of the opposite sign block is nonzero there."""
+    form = special_family_form(psi)
+    f = psi.to_real_map()
+    o, r = form.odd_index, form.line.ratios
+    pos, neg = form.positive_block(), form.negative_block()
+
+    def minor(rows, k):
+        cols = (2 * (k - 1), 2 * (o - 1), 2 * (o - 1) + 1)
+        return minors_exact([[row[c] for c in cols] for row in rows], 3)[0]
+
+    for j in form.critical:
+        a = psi.term_for(j).a
+        x = [Fraction(1)] * (2 * psi.n)
+        x[2 * (j - 1)], x[2 * (j - 1) + 1] = Fraction(1, 2), Fraction(-1, 3)
+        s = (x[2 * (j - 1)] ** 2 + x[2 * (j - 1) + 1] ** 2) ** (a - 1)
+        x[2 * (o - 1)] = 2 * a * s * r[j] / (3 * r[o])
+        x[2 * (o - 1) + 1] = Fraction(0)
+        rows = f.jacobian_exact(x) + [x]
+        assert minor(rows, j) == 0
+        assert (1 if x[2 * (o - 1)] > 0 else -1) == branch_signs[j]
+        assert all(minor(rows, k) != 0 for k in (neg if j in pos else pos))
+
+
 @settings(max_examples=4, deadline=None, derandomize=True)
 @given(special_family_members())
 def test_special_family_members_never_fail(psi):
-    assert special_family_claim_check(psi, samples=40).holds
+    chk = special_family_claim_check(psi)
+    assert chk.holds
+    if not chk.vacuous:
+        exact_branch_oracle(psi, chk.branch_signs)
     f = psi.to_real_map()
     for eps in (1.0, 0.25):
         rep = falsify_transversality(f, eps, seeds=32, iters=40)
@@ -540,14 +572,15 @@ def test_special_family_minor_errors():
         special_family_minor(H_MIXED, 1, x6, component="z")
     with pytest.raises(ValueError):
         special_family_minor(H_MIXED, 1, np.zeros(4) + 0.5)
+    with pytest.raises(ValueError, match="finite"):
+        special_family_minor(H_MIXED, 1, [math.nan] * 6)
 
 
 def test_claim_check_h():
-    res = special_family_claim_check(H_MIXED, samples=200, rng_seed=0)
+    res = special_family_claim_check(H_MIXED)
     assert res.holds
     assert not res.vacuous
-    assert res.samples > 0
-    assert res.min_cross_ratio > 1.0
+    assert res.branch_signs == {1: 1, 2: -1}
 
 
 def test_claim_check_single_block_is_vacuous():
