@@ -25,7 +25,7 @@ import time
 import numpy as np
 
 from . import __version__, serialize
-from .fiber import fiber_compare, inflate_to_sphere, rplus_flow, sample_fiber
+from .fiber import _phase, _term_sum, fiber_compare, inflate_to_sphere, rplus_flow, sample_fiber
 from .mixed import DiagonalMixedPolynomial, complex_to_reals, reals_to_complex
 from .parsing import ParseError, parse_mixed, parse_real_map
 from .realpoly import RealPolynomialMap
@@ -218,23 +218,20 @@ def cmd_flow(args) -> int:
     if not all(t > 0 and math.isfinite(t) for t in ts):
         raise ParseError("flow times must be positive and finite", 0)
     base_val = obj.eval(z)
+    base_scale = _term_sum(obj, z)
     samples = []
     for t in ts:
         zt = rplus_flow(params, t, z)
         val = obj.eval(zt)
         # a float64 power overflows to inf (written as null), not OverflowError
-        predicted = (np.float64(t) ** params.degree) * base_val
-        entry = {
+        scale = np.float64(t) ** params.degree
+        samples.append({
             "t": float(t),
             "point": serialize.floatlist(complex_to_reals(zt)),
             "value": [val.real, val.imag],
-            "equivariance_residual": abs(val - predicted),
-        }
-        # the same hypot as Python's complex abs, which can raise
-        # OverflowError on overflowed parts
-        mag = np.hypot(val.real, val.imag)
-        entry["phase"] = [val.real / mag, val.imag / mag] if mag > 1e-12 else None
-        samples.append(entry)
+            "equivariance_residual": abs(val - scale * base_val),
+            "phase": _phase(val, scale * base_scale),
+        })
     doc = _tool_header("flow", text)
     doc["flow_params"] = serialize.flow_params_json(params)
     doc["base_point"] = coords
@@ -246,7 +243,7 @@ def cmd_flow(args) -> int:
             "eps": float(eps),
             "t_star": float(t_star),
             "point": serialize.floatlist(complex_to_reals(z_star)),
-            "radius_error": abs(float(np.linalg.norm(z_star)) - eps),
+            "radius_error": abs(math.hypot(*complex_to_reals(z_star).tolist()) - eps),
         })
     if inflations:
         doc["inflate"] = inflations

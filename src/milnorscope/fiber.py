@@ -37,6 +37,9 @@ from .mixed import DiagonalMixedPolynomial
 from .realpoly import RealPolynomialMap
 from .structure import RadialWeights
 
+_LN2 = math.log(2.0)
+_LOG_MAX = math.log(np.finfo(float).max)
+
 NEWTON_TOL = 1e-10
 NEWTON_MAX_ITER = 100
 MIN_RELIABLE_POINTS = 10
@@ -59,61 +62,77 @@ def rplus_flow(params: RadialWeights, t: float, z) -> np.ndarray:
     return z * factors
 
 
+def _log_polar(w: complex) -> tuple[float, complex]:
+    """(log|w|, w/|w|) of w != 0, from its parts scaled exactly by a power
+    of two: no modulus underflows and subnormal parts lose no bits."""
+    e = max(math.frexp(w.real)[1], math.frexp(w.imag)[1])
+    x, y = math.ldexp(w.real, -e), math.ldexp(w.imag, -e)
+    r = math.hypot(x, y)
+    return math.log(r) + e * _LN2, complex(x / r, y / r)
+
+
 def inflate_to_sphere(params: RadialWeights, z, eps: float) -> tuple[float, np.ndarray]:
     """Unique t > 0 with |t . z| = eps, and the flowed point.
 
-    |t . z|^2 = sum t^{2 p_j} |z_j|^2 is strictly increasing in t, so
-    safeguarded Newton on sqrt of it converges to the unique root; the
-    radius error of the returned point is below 1e-12.
+    In s = log t, h(s) = log|t . z| is a log-sum-exp of the affine
+    log|z_j| + p_j s, so increasing and convex.  From s0 = max_j (log eps
+    - log|z_j|)/p_j, where one term alone reaches eps, Newton decreases
+    monotonically onto the root.  A step that does not decrease s starts
+    at the root up to rounding (a long step may cancel below it); it is
+    the last.  In logs, the point lands on the sphere for every eps > 0
+    and z != 0, and t = e^s is rounded to the float range (0.0 or inf).
     """
     sampling.check_positive("eps", eps)
     z = _flow_point(params, z)
-    m2 = np.abs(z) ** 2
-    if not np.any(m2 > 0):
+    polar = [_log_polar(w) if w else None for w in z.tolist()]
+    parts = [(p, lp[0]) for p, lp in zip(params.weights, polar) if lp]
+    if not parts:
         raise ValueError("cannot inflate the origin")
-    pw = np.array(params.weights, dtype=float)
-
-    def radius(t: float) -> float:
-        return math.sqrt(float(np.sum(t ** (2 * pw) * m2)))
-
-    lo = hi = 1.0
-    while radius(hi) < eps:
-        hi *= 2.0
-    while radius(lo) > eps:
-        lo *= 0.5
-    t = 0.5 * (lo + hi)
-    for _ in range(200):
-        r = radius(t)
-        if abs(r - eps) < 1e-13:
+    target = math.log(eps)
+    s = max((target - logm) / p for p, logm in parts)
+    while True:
+        u = [logm + p * s for p, logm in parts]
+        top = max(u)
+        w = [math.exp(2.0 * (v - top)) for v in u]
+        total = sum(w)
+        slope = sum(p * wj for (p, _), wj in zip(parts, w)) / total
+        s, last = s - (top + 0.5 * math.log(total) - target) / slope, s
+        if not s < last:
             break
-        if r > eps:
-            hi = t
-        else:
-            lo = t
-        # Newton step on radius(t) - eps, kept inside the bracket
-        g2 = float(np.sum(t ** (2 * pw) * m2))
-        dg = float(np.sum(2 * pw * t ** (2 * pw - 1) * m2))
-        t_next = 0.5 * (lo + hi)
-        if dg > 0:
-            tn = t - (math.sqrt(g2) - eps) * 2.0 * math.sqrt(g2) / dg
-            if lo < tn < hi:
-                t_next = tn
-        t = t_next
-    zs = z * t ** pw
-    return float(t), zs
+    # |zs_j| <= eps up to rounding, so the clamp acts only at eps ~ float max
+    zs = np.array([math.exp(min(lp[0] + p * s, _LOG_MAX)) * lp[1] if lp else 0j
+                   for p, lp in zip(params.weights, polar)])
+    return (math.exp(s) if s <= _LOG_MAX else math.inf), zs
+
+
+def _term_sum(psi: DiagonalMixedPolynomial, z) -> float:
+    """S(z) = sum_j |lambda_j| |z_j|^(a_j + b_j); S(t . z) = t^degree S(z)."""
+    z = np.asarray(z, dtype=complex)
+    with np.errstate(over="ignore"):
+        return float(sum(abs(t.coeff.to_complex()) * np.abs(z[t.j - 1]) ** t.degree
+                         for t in psi.terms))
+
+
+def _phase(w: complex, scale: float) -> list[float] | None:
+    """(Re w, Im w)/|w| for w = psi(z), scale = S(z); None where the terms
+    cancel to |w| <= 1e-12 S(z), on V up to rounding at every radius."""
+    # the same hypot as Python's complex abs, which can raise
+    # OverflowError on overflowed parts
+    mag = np.hypot(w.real, w.imag)
+    return [w.real / mag, w.imag / mag] if mag > 1e-12 * scale else None
 
 
 def phase(psi: DiagonalMixedPolynomial, z) -> complex:
-    """psi(z)/|psi(z)|; undefined within 1e-12 of the zero set or on overflow."""
+    """psi(z)/|psi(z)|; undefined where |psi(z)| <= 1e-12 S(z) or on overflow."""
     with np.errstate(over="ignore", invalid="ignore"):
         w = psi.eval(z)
     if not cmath.isfinite(w):
         raise ValueError(f"phase undefined: psi(z) = {w!r} is not finite (overflow)")
-    r = np.hypot(w.real, w.imag)
-    if r <= 1e-12:
-        raise ValueError("phase undefined: |psi(z)| <= 1e-12, the point lies "
-                         "on the zero set V (or its tube W) up to tolerance")
-    return w / r
+    unit = _phase(w, _term_sum(psi, z))
+    if unit is None:
+        raise ValueError("phase undefined: |psi(z)| <= 1e-12 sum_j |lambda_j| "
+                         "|z_j|^(a_j+b_j), the point lies on V up to tolerance")
+    return complex(*unit)
 
 
 # ----------------------------------------------------------------------

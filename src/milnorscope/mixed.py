@@ -195,15 +195,16 @@ class DiagonalMixedPolynomial:
         re_comp: dict[tuple[int, ...], Fraction] = {}
         im_comp: dict[tuple[int, ...], Fraction] = {}
         for t in self.terms:
-            expanded = _expand_power(t.a, conjugate=False)
-            expanded = _convolve(expanded, _expand_power(t.b, conjugate=True))
             jx = 2 * (t.j - 1)
-            for (ex, ey), c in expanded.items():
-                c = t.coeff * c
-                key = [0] * (2 * self.n)
-                key[jx] = ex
-                key[jx + 1] = ey
-                key = tuple(key)
+            # z^a zbar^b = sum_{k,l} C(a,k) C(b,l) i^(k-l) x^(a+b-k-l) y^(k+l),
+            # and i^(k-l) = i^m (-1)^l with m = k + l
+            for m in range(t.a + t.b + 1):
+                binom = sum(comb(t.a, m - l) * comb(t.b, l) * (-1) ** l
+                            for l in range(max(0, m - t.a), min(m, t.b) + 1))
+                if binom == 0:
+                    continue
+                c = t.coeff * _I_POWERS[m % 4] * ComplexRational(binom, 0)
+                key = (0,) * jx + (t.a + t.b - m, m) + (0,) * (2 * self.n - jx - 2)
                 # terms in different variables share no monomial, and the
                 # map drops zero coefficients
                 re_comp[key] = c.re
@@ -235,28 +236,6 @@ class DiagonalMixedPolynomial:
     def __repr__(self) -> str:
         from .parsing import render_mixed
         return f"DiagonalMixedPolynomial({render_mixed(self)!r})"
-
-
-def _expand_power(k: int, conjugate: bool) -> dict[tuple[int, int], ComplexRational]:
-    """(x + iy)^k, or (x - iy)^k when conjugate, as {(ex, ey): coeff}."""
-    out = {}
-    for m in range(k + 1):
-        unit = _I_POWERS[(-m) % 4] if conjugate else _I_POWERS[m % 4]
-        out[(k - m, m)] = ComplexRational(unit.re * comb(k, m), unit.im * comb(k, m))
-    return out
-
-
-def _convolve(a: dict, b: dict) -> dict[tuple[int, int], ComplexRational]:
-    out: dict[tuple[int, int], ComplexRational] = {}
-    for (ax, ay), ca in a.items():
-        for (bx, by), cb in b.items():
-            key = (ax + bx, ay + by)
-            c = ca * cb
-            if key in out:
-                out[key] = out[key] + c
-            else:
-                out[key] = c
-    return {k: v for k, v in out.items() if not v.is_zero()}
 
 
 def reals_to_complex(x) -> np.ndarray:

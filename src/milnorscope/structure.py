@@ -247,6 +247,11 @@ class RadialWeights:
     degree: int
     weights: tuple[int, ...]
 
+    def __post_init__(self):
+        if not all(isinstance(v, int) and v > 0 for v in (self.degree, *self.weights)):
+            raise ValueError(f"radial weights need a positive integer degree and "
+                             f"weights, got {self.degree!r}, {self.weights!r}")
+
 
 def radial_weights(psi: DiagonalMixedPolynomial) -> RadialWeights:
     """Weights from term degrees: degree = lcm(a_j + b_j), p_j = degree / (a_j + b_j).
@@ -254,10 +259,9 @@ def radial_weights(psi: DiagonalMixedPolynomial) -> RadialWeights:
     Raises ValueError when some variable has no term, since no weight
     can be assigned to it.
     """
-    missing = _missing_indices(psi)
-    if missing:
+    if len(psi.terms) < psi.n:
         raise ValueError("radial weights undefined: no term in "
-                         + ", ".join(f"z{j}" for j in missing))
+                         + ", ".join(f"z{j}" for j in _missing_indices(psi)))
     a = lcm(*(t.degree for t in psi.terms))
     weights = tuple(a // psi.term_for(j).degree for j in range(1, psi.n + 1))
     return RadialWeights(a, weights)
@@ -344,7 +348,7 @@ def special_family_form(psi: DiagonalMixedPolynomial) -> SpecialFamilyForm | Non
     non-critical index may sit anywhere; the family is closed under
     renumbering.
     """
-    if psi.n < 2 or _missing_indices(psi):
+    if psi.n < 2 or len(psi.terms) < psi.n:
         return None
     odd = [t for t in psi.terms if t.a != t.b]
     if len(odd) != 1 or (odd[0].a, odd[0].b) not in ((2, 1), (1, 2)):

@@ -4,6 +4,7 @@ import contextlib
 import inspect
 import io
 import json
+import math
 import re
 from pathlib import Path
 
@@ -315,6 +316,36 @@ def test_flow_trace(capsys):
     for inf in doc["inflate"]:
         assert inf["radius_error"] <= 1e-12
     assert doc["inflate"][0]["t_star"] < 1 < doc["inflate"][1]["t_star"]
+
+
+def test_flow_inflates_onto_the_sphere_at_every_radius(capsys):
+    code, out, err = run(capsys, ["flow", G, "--point", "0.3,0.1,0.2,-0.5", "--t", "1",
+                                  "--eps", "1e-20,1e-8,1e200", "--no-timing"])
+    assert (code, err) == (0, "")
+    for inf in strict_json(out)["inflate"]:
+        radius = math.hypot(*inf["point"])
+        assert abs(radius - inf["eps"]) <= 1e-12 * inf["eps"]
+        assert inf["radius_error"] <= 1e-12 * inf["eps"]
+
+
+@pytest.mark.parametrize("x1, eps", [("1e-300", 1e300), ("1e-100", 1e250)])
+def test_flow_inflation_beyond_float_range_of_t(capsys, x1, eps):
+    # t = eps / x1 (1e600, 1e350) is no float: t_star is null, the point
+    # still lands
+    code, out, err = run(capsys, ["flow", "z1^3 z1~^3 + z2 z2~", f"--point={x1},0,0,0",
+                                  "--t", "1", "--eps", repr(eps), "--no-timing"])
+    assert (code, err) == (0, "")
+    inf = strict_json(out)["inflate"][0]
+    assert inf["t_star"] is None
+    assert math.hypot(*inf["point"]) == pytest.approx(eps, rel=1e-12)
+
+
+def test_flow_phase_is_relative_to_the_terms(capsys):
+    # psi = 2e-18 at t = 1e-3, far from V in the scale of its terms
+    code, out, _ = run(capsys, ["flow", G, "--point", "1,0,1,0", "--t", "1e-3",
+                                "--no-timing"])
+    assert code == 0
+    assert strict_json(out)["samples"][0]["phase"] == [1.0, 0.0]
 
 
 def test_flow_default_time_grid(capsys):

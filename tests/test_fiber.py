@@ -132,6 +132,54 @@ def test_inflate_rejects_bad_input():
             inflate_to_sphere(params, [1j, bad], 1.0)
 
 
+def test_radial_weights_check_themselves():
+    assert RadialWeights(6, (3, 2)).weights == (3, 2)
+    for degree, weights in ((1, (0, 1)), (0, (1,)), (6, (3, -2)), (6, (3, 2.0)),
+                            (6.0, (3, 2))):
+        with pytest.raises(ValueError, match="positive integer"):
+            RadialWeights(degree, weights)
+
+
+@pytest.mark.parametrize("z1", [1e-320, complex(1e-320, 1e-320)])
+def test_inflate_subnormal_point(z1):
+    # |z1|^2 underflows to 0, yet z1 is not the origin
+    t, zs = inflate_to_sphere(radial_weights(G_MIXED), [z1, 0j], 1.0)
+    assert math.isfinite(t) and t > 0
+    assert math.hypot(zs[0].real, zs[0].imag) == pytest.approx(1.0, rel=1e-12)
+    assert zs[1] == 0
+
+
+@st.composite
+def inflation_cases(draw):
+    n = draw(st.integers(1, 5))
+    weights = tuple(draw(st.integers(1, 12)) for _ in range(n))
+    moduli = [0.0 if draw(st.booleans()) else 10.0 ** draw(st.floats(-300, 300))
+              for _ in range(n)]
+    if not any(moduli):
+        moduli[draw(st.integers(0, n - 1))] = 10.0 ** draw(st.floats(-300, 300))
+    angles = [draw(st.floats(0.0, 2 * math.pi)) for _ in range(n)]
+    z = [m * complex(math.cos(a), math.sin(a)) for m, a in zip(moduli, angles)]
+    return RadialWeights(math.lcm(*weights), weights), z, 10.0 ** draw(st.floats(-300, 300))
+
+
+@settings(max_examples=300, deadline=None)
+@given(inflation_cases())
+def test_inflate_lands_on_the_sphere_at_every_radius(case):
+    params, z, eps = case
+    t, zs = inflate_to_sphere(params, z, eps)
+    if not (0.0 < t < math.inf):
+        return
+    radius = math.hypot(*np.concatenate([zs.real, zs.imag]).tolist())
+    assert abs(radius - eps) <= 1e-11 * eps
+    log_t = math.log(t)
+    for p, w, ws in zip(params.weights, z, zs.tolist()):
+        # a subnormal or underflowed coordinate holds too few bits to test
+        if abs(w) >= 2.3e-308 and abs(ws) >= 2.3e-308:
+            moved = math.log(abs(ws)) - math.log(abs(w))
+            assert moved == pytest.approx(p * log_t, rel=1e-12, abs=1e-12 * (
+                1.0 + abs(math.log(abs(w))) + abs(math.log(abs(ws)))))
+
+
 # ----------------------------------------------------------------------
 # phase
 
@@ -153,6 +201,13 @@ def test_phase_is_orbit_invariant():
         p0 = phase(WORKED, z)
         for t in (0.3, 2.0):
             assert phase(WORKED, rplus_flow(params, t, z)) == pytest.approx(p0)
+
+
+def test_phase_is_relative_to_the_terms():
+    # psi(t . z) = 2e-18 at t = 1e-3: small, but far from V
+    z = [1.0 + 0j, 1.0 + 0j]
+    zt = rplus_flow(radial_weights(G_MIXED), 1e-3, z)
+    assert phase(G_MIXED, zt) == phase(G_MIXED, z) == 1.0
 
 
 def test_phase_undefined_on_zero_set():

@@ -238,6 +238,29 @@ def test_to_real_map_evaluation_equality():
             assert abs(complex(v[0], v[1]) - w) < 1e-9 * (1 + abs(w))
 
 
+def _pow(c, k):
+    out = C(1)
+    for _ in range(k):
+        out = out * c
+    return out
+
+
+def test_to_real_map_is_exact_at_rational_points():
+    # the oracle: psi evaluated in ComplexRational arithmetic, no expansion
+    rng = np.random.default_rng(23)
+    for _ in range(30):
+        psi = random_mixed(rng, n_max=3)
+        f = psi.to_real_map()
+        for _ in range(5):
+            x = [Fraction(int(rng.integers(-9, 10)), int(rng.integers(1, 8)))
+                 for _ in range(2 * psi.n)]
+            w = C(0)
+            for t in psi.terms:
+                zj = ComplexRational(x[2 * t.j - 2], x[2 * t.j - 1])
+                w = w + t.coeff * _pow(zj, t.a) * _pow(zj.conj(), t.b)
+            assert f.eval_exact(x) == (w.re, w.im)
+
+
 def test_conj_swap_identity():
     rng = np.random.default_rng(19)
     for _ in range(6):

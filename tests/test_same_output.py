@@ -104,3 +104,37 @@ def test_decision_fields_keep_only_decisions():
         "compare": {"component_counts": [2, 1], "first": {"converged": 10}},
         "reports": [{"witnesses (count)": 0}]}
     assert same_output.decision_fields({"eps": 1.0, "points": [[0.5]]}) is None
+
+
+def test_differences_lists_every_leaf_path():
+    a = {"samples": [{"phase": None, "t": 1.0}, {"phase": [1.0, 0.0], "t": 2.0}],
+         "inflate": [{"point": [0.5, 0.25], "t_star": 2.0}]}
+    b = {"samples": [{"phase": [0.6, 0.8], "t": 1.0}, {"phase": [1.0, 0.0], "t": 2.0}],
+         "inflate": [{"point": [0.5, 0.2500000000000001], "t_star": 2.0000000000000004}],
+         "extra": 1}
+    assert list(same_output.differences(a, b, "stdout")) == [
+        "stdout.samples[0].phase", "stdout.inflate[0].point[1]",
+        "stdout.inflate[0].t_star", "stdout.extra"]
+    assert first_difference(a, b, "stdout") == "stdout.samples[0].phase"
+    assert list(same_output.differences(a, json.loads(json.dumps(a)), "stdout")) == []
+
+
+def test_report_counts_each_field_over_jobs(capsys):
+    def record(phase, point):
+        return {"exit": 0, "stderr": "",
+                "stdout": json.dumps({"samples": [{"phase": phase}] * 2,
+                                      "inflate": [{"point": point}]})}
+
+    parent = [record(None, [1.0, 0.0]), record([1.0, 0.0], [1.0, 0.0]),
+              record(None, [0.5, 0.5])]
+    change = [record([1.0, 0.0], [1.0, 0.0]), record([1.0, 0.0], [1.0, 0.0]),
+              record(None, [0.5000000000000001, 0.4999999999999999])]
+    assert same_output.report("exact seed 1", parent, change) == 1
+    assert capsys.readouterr().out.splitlines() == [
+        "exact seed 1: job 0 differs at stdout.samples[0].phase",
+        "exact seed 1: 2 of 3 jobs differ",
+        "  stdout.samples[].phase: 2",
+        "  stdout.inflate[].point[]: 2"]
+    assert same_output.report("exact seed 1", parent, parent) == 0
+    assert capsys.readouterr().out == \
+        "exact seed 1: 3 jobs, stdout, stderr and exit codes identical\n"

@@ -467,6 +467,10 @@ def test_analyze_builds_each_quantity_once(monkeypatch):
             [("_linear_indices", "colinearity_classes")]
         assert not {caller for _, caller in scans} & {
             "_critical_set", "_discriminant", "_sigma_cap_v", "_verdict"}
+        if text != "z2 z2~":
+            # every variable occurs: only the partition lists the missing ones
+            assert [s for s in scans if s[0] == "_missing_indices"] == \
+                [("_missing_indices", "colinearity_classes")]
 
 
 @settings(max_examples=200, deadline=None)

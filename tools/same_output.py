@@ -9,10 +9,13 @@ one `perfbench/run.py --workload W --seed N` runs at the run length in
 BENCHMARK.json (every job carries `--no-timing`).  Each tree
 runs every job through `milnorscope.cli.main` in its own subprocess, with
 BLAS on one thread as in the benchmark.  The exit code, stdout and
-stderr of each job are compared; the first difference is printed as the
-job index and the field (`exit`, a JSON key path into stdout, `stdout`
-when it is not JSON, or `stderr`), and the check stops there.  Exits 0
-when everything matches and 1 otherwise.
+stderr of each job are compared.  The first differing job is printed
+with its index and field (`exit`, a JSON key path into stdout, `stdout`
+when it is not JSON, or `stderr`); then, for each workload and seed,
+the number of differing jobs and how often each field differs over all
+jobs, with list indices dropped (`stdout.inflate[].point[]: 4333`).
+Exits 0 when everything matches, 1 when some job differs and 2 when a
+job runner fails.
 
 `--decisions` compares only what a job decides: the exit code and, in
 its JSON, every `verdict`, `aggregate_verdict`, `locus_count`,
@@ -25,10 +28,12 @@ not compared; a stdout that is not JSON is compared whole.
 from __future__ import annotations
 
 import argparse
+import collections
 import contextlib
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -66,23 +71,30 @@ def run_jobs(src: str) -> None:
               flush=True)
 
 
-def first_difference(a, b, path: str) -> str | None:
-    """Key path of the first place where two parsed JSON values differ."""
+def differences(a, b, path: str):
+    """Key path of every place where two parsed JSON values differ, in
+    document order: a differing leaf, a key only one side has, a list
+    length, or the key order of a dict."""
     if isinstance(a, dict) and isinstance(b, dict):
         for key in list(a) + [k for k in b if k not in a]:
             if key not in a or key not in b:
-                return f"{path}.{key}"
-            found = first_difference(a[key], b[key], f"{path}.{key}")
-            if found:
-                return found
-        return None if list(a) == list(b) else f"{path} (key order)"
-    if isinstance(a, list) and isinstance(b, list):
+                yield f"{path}.{key}"
+            else:
+                yield from differences(a[key], b[key], f"{path}.{key}")
+        if a.keys() == b.keys() and list(a) != list(b):
+            yield f"{path} (key order)"
+    elif isinstance(a, list) and isinstance(b, list):
         for k, (x, y) in enumerate(zip(a, b)):
-            found = first_difference(x, y, f"{path}[{k}]")
-            if found:
-                return found
-        return None if len(a) == len(b) else f"{path} (length)"
-    return None if a == b and type(a) is type(b) else path
+            yield from differences(x, y, f"{path}[{k}]")
+        if len(a) != len(b):
+            yield f"{path} (length)"
+    elif not (a == b and type(a) is type(b)):
+        yield path
+
+
+def first_difference(a, b, path: str) -> str | None:
+    """Key path of the first place where two parsed JSON values differ."""
+    return next(differences(a, b, path), None)
 
 
 def decision_fields(doc):
@@ -107,22 +119,34 @@ def decision_fields(doc):
     return None
 
 
-def field(a: dict, b: dict, decisions: bool = False) -> str | None:
+def fields(a: dict, b: dict, decisions: bool = False):
+    """Every field where two job records differ, first the exit code, then
+    stdout (JSON key paths, or `stdout` when it is not JSON) and stderr."""
     if a["exit"] != b["exit"]:
-        return f"exit ({a['exit']} vs {b['exit']})"
+        yield f"exit ({a['exit']} vs {b['exit']})"
+        return
     if decisions:
         try:
             da, db = (decision_fields(json.loads(r["stdout"])) for r in (a, b))
         except json.JSONDecodeError:
-            return None if a["stdout"] == b["stdout"] else "stdout"
-        return first_difference(da, db, "stdout")
+            if a["stdout"] != b["stdout"]:
+                yield "stdout"
+            return
+        yield from differences(da, db, "stdout")
+        return
     if a["stdout"] != b["stdout"]:
         try:
-            found = first_difference(json.loads(a["stdout"]), json.loads(b["stdout"]), "stdout")
+            found = list(differences(json.loads(a["stdout"]), json.loads(b["stdout"]),
+                                     "stdout"))
         except json.JSONDecodeError:
-            found = None
-        return found or "stdout"
-    return None if a["stderr"] == b["stderr"] else "stderr"
+            found = []
+        yield from found or ["stdout"]
+    if a["stderr"] != b["stderr"]:
+        yield "stderr"
+
+
+def field(a: dict, b: dict, decisions: bool = False) -> str | None:
+    return next(fields(a, b, decisions), None)
 
 
 def compare(parent_src: str, change_src: str, workload: str, seed: int,
@@ -141,13 +165,28 @@ def compare(parent_src: str, change_src: str, workload: str, seed: int,
     if len(parent) != count or len(change) != count:
         print("error: a job runner stopped early", file=sys.stderr)
         return 2
+    return report(f"{workload} seed {seed}", parent, change, decisions)
+
+
+def report(label: str, parent: list, change: list, decisions: bool = False) -> int:
+    """Print where two runs' job records differ: the first differing job and
+    field, then the number of differing jobs and a count per field with
+    list indices dropped.  Returns 1 when some job differs, else 0."""
+    differing = 0
+    counts = collections.Counter()
     for i, (a, b) in enumerate(zip(parent, change)):
-        diff = field(a, b, decisions)
-        if diff:
-            print(f"{workload} seed {seed}: job {i} differs at {diff}")
-            return 1
+        found = list(fields(a, b, decisions))
+        if found and not differing:
+            print(f"{label}: job {i} differs at {found[0]}")
+        differing += bool(found)
+        counts.update(re.sub(r"\[\d+\]", "[]", path) for path in found)
+    if differing:
+        print(f"{label}: {differing} of {len(parent)} jobs differ")
+        for path, k in counts.items():
+            print(f"  {path}: {k}")
+        return 1
     same = "exit codes and decisions" if decisions else "stdout, stderr and exit codes"
-    print(f"{workload} seed {seed}: {count} jobs, {same} identical", flush=True)
+    print(f"{label}: {len(parent)} jobs, {same} identical", flush=True)
     return 0
 
 
@@ -160,12 +199,8 @@ def main(argv=None) -> int:
     ap.add_argument("--decisions", action="store_true",
                     help="compare exit codes, verdicts and counts only")
     args = ap.parse_args(argv)
-    for workload in args.workload:
-        for seed in args.seed:
-            code = compare(args.parent_src, args.change_src, workload, seed, args.decisions)
-            if code:
-                return code
-    return 0
+    return max(compare(args.parent_src, args.change_src, workload, seed, args.decisions)
+               for workload in args.workload for seed in args.seed)
 
 
 if __name__ == "__main__":
