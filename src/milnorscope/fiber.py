@@ -147,24 +147,52 @@ def _pinv_step(A: np.ndarray, R: np.ndarray) -> np.ndarray:
 def _min_norm_step(A: np.ndarray, R: np.ndarray) -> np.ndarray:
     """The pseudo-inverse step pinv(A) @ R of each (m, k) matrix of a stack.
 
-    Where m <= k and A has full row rank, the reduced QR factorisation
-    A^T = Q T gives the minimum-norm solution Q T^{-T} R (Bjorck 1996,
-    Numerical Methods for Least Squares Problems, 1.3 and 2.7): one
-    Householder sweep per matrix where pinv runs an SVD.  A matrix with
-    min |T_ii| <= 1e-8 max |T_ii| (rank-deficient, or all zeros), and
-    every matrix of a stack with m > k, takes pinv's step, bit for bit.
-    Each row of the result depends only on its own matrix.
+    Where m <= k and A has full row rank, classical Gram-Schmidt applied
+    twice to the rows of A (CGS2; Giraud, Langou and Rozloznik 2005, Comput.
+    Math. Appl. 50, "twice is enough") factors A = L Q with Q's rows
+    orthonormal and L lower triangular, and the minimum-norm solution is
+    Q^T y with L y = R (Bjorck 1996, Numerical Methods for Least Squares
+    Problems, 1.3).  The stack is stored coordinate-major, (m, k, N), so
+    every operation runs on whole lanes of N matrices rather than one
+    LAPACK call per matrix.  A matrix with min |L_ii| <= 1e-8 max |L_ii|
+    (rank-deficient, all zeros or not finite), and every matrix of a
+    stack with m > k, takes pinv's step, bit for bit.
+
+    Each row of the result depends only on its own matrix, at every batch
+    width: the kernel uses elementwise operations and sums over axes that
+    are not innermost, which numpy adds term by term.  A batch of one runs
+    as two equal lanes, since numpy would sum a lone lane's run of 8 or
+    more terms pairwise.
     """
-    if A.shape[1] > A.shape[2]:
+    n, m, k = A.shape
+    if m > k:
         return _pinv_step(A, R)
-    Q, T = np.linalg.qr(A.transpose(0, 2, 1))
-    d = np.abs(np.diagonal(T, axis1=1, axis2=2))
-    full = d.min(axis=1) > 1e-8 * d.max(axis=1)
-    D = np.empty((len(A), A.shape[2]))
+    lanes = 2 if n == 1 else n
+    # Q holds the rows of A until Gram-Schmidt replaces each by its unit
+    # row, y holds R until forward substitution turns it into L^{-1} R,
+    # and d is the diagonal of L
+    Q = np.empty((m, k, lanes))
+    Q[...] = A.transpose(1, 2, 0)
+    y = np.empty((m, lanes))
+    y[...] = R.T
+    d = np.empty((m, lanes))
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        for i in range(m):
+            v = Q[i]
+            if i:
+                for _ in range(2):
+                    # one pass: row i of L gains c, and y_i loses c . y
+                    c = np.add.reduce(Q[:i] * v, axis=1)
+                    v = v - np.add.reduce(c[:, None] * Q[:i], axis=0)
+                    y[i] -= np.add.reduce(c * y[:i], axis=0)
+            d[i] = np.sqrt(np.add.reduce(v * v, axis=0))
+            np.divide(v, d[i], out=Q[i])
+            y[i] /= d[i]
+        D = np.add.reduce(y[:, None] * Q, axis=0).T[:n]
+        d = d.T[:n]
+        full = d.min(axis=1) > 1e-8 * d.max(axis=1)
     if not full.all():
         D[~full] = _pinv_step(A[~full], R[~full])
-        Q, T, R = Q[full], T[full], R[full]
-    D[full] = (Q @ np.linalg.solve(T.transpose(0, 2, 1), R[:, :, None]))[:, :, 0]
     return D
 
 
@@ -504,8 +532,11 @@ def _mst(P: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
             i = int(idx[j])
             h = int(near[j])
             if not single[h]:
+                # the first member of h at distance d[j], summed as the frontier's
                 grp = members[start[h]:start[h] + count[h]]
-                h = int(grp[_nearest_sq(PT.take(grp, axis=1), P[i, :, None]).argmin()])
+                D = PT.take(grp, axis=1) - P[i, :, None]
+                D *= D
+                h = int(grp[np.add.reduce(D, axis=0).argmin()])
             ea[k], eb[k], ew[k] = h, i, d[j]
         if single[i]:
             Q[:, j], d[j] = np.inf, np.inf

@@ -182,6 +182,14 @@ def fiber_csv(sample: FiberSample, var_names) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _finite_floats(obj) -> bool:
+    """Whether obj is a non-empty list or tuple of finite floats only."""
+    # a sum of finite floats is finite unless it overflows, which only
+    # sends the list down the general path
+    return (isinstance(obj, (list, tuple)) and bool(obj)
+            and all([type(v) is float for v in obj]) and math.isfinite(sum(obj)))
+
+
 def _text(obj, ind: str) -> str:
     """JSON text of obj, indented by two spaces per level below `ind`."""
     if isinstance(obj, str):
@@ -207,7 +215,17 @@ def _text(obj, ind: str) -> str:
     if isinstance(obj, (list, tuple)):
         if not obj:
             return "[]"
-        body = sep.join([_text(v, inner) for v in obj])
+        # the first item's type keeps other lists off the float scans
+        kind = type(obj[0])
+        if kind is float and _finite_floats(obj):
+            body = sep.join(map(float.__repr__, obj))
+        elif (kind is list or kind is tuple) and all(_finite_floats(v) for v in obj):
+            # each row of a matrix of floats, written in one join
+            deep = ",\n" + inner + "  "
+            body = sep.join(["[\n" + inner + "  " + deep.join(map(float.__repr__, v))
+                             + "\n" + inner + "]" for v in obj])
+        else:
+            body = sep.join([_text(v, inner) for v in obj])
         return "[\n" + inner + body + "\n" + ind + "]"
     raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
 

@@ -43,6 +43,7 @@ TOL_TANGENCY = 1e-8
 TOL_V = 1e-6
 MARGIN_FACTOR = 1e-2
 DEDUP_RADIUS = 1e-4
+DEDUP_CAP = 512
 
 _CAVEATS = (
     "the acceptance margin is a fixed fraction of the median |f| on the "
@@ -220,6 +221,41 @@ def _make_witnesses(f: RealPolynomialMap, X: np.ndarray, eps: float,
             for x, s, sg, fn, sm in zip(X, sigma, sigma_grad, f_norm, smin)]
 
 
+def _dedup(ws: list[TangencyWitness]) -> tuple[TangencyWitness, ...]:
+    """Greedy by |f|: the first DEDUP_CAP witnesses, in order of |f|, that
+    lie beyond DEDUP_RADIUS of every witness kept before them.
+
+    A distance is the norm of a row difference, as np.linalg.norm over
+    axis 1 gives it, and a pair counts as close unless that norm exceeds
+    DEDUP_RADIUS.  Only pairs within 2 DEDUP_RADIUS along the first
+    coordinate are measured, found by a sweep of the points sorted along
+    it: a norm is at least its first term's size up to rounding, so no
+    close pair lies outside that window.  The points are finite (their
+    sigma is below the tangency tolerance).
+    """
+    if not ws:
+        return ()
+    ws = sorted(ws, key=lambda w: w.f_norm)
+    n = len(ws)
+    P = np.array([w.point for w in ws])
+    o = np.argsort(P[:, 0], kind="stable")
+    xs = P[o, 0]
+    window = np.searchsorted(xs, xs + 2 * DEDUP_RADIUS, side="right") - np.arange(1, n + 1)
+    i = np.repeat(np.arange(n), window)
+    j = i + np.arange(1, len(i) + 1) - np.repeat(np.cumsum(window) - window, window)
+    a, b = o[i], o[j]
+    # a - b and b - a have the same norm: negation is exact
+    close = ~(np.linalg.norm(P[a] - P[b], axis=1) > DEDUP_RADIUS)
+    first, later = np.minimum(a, b)[close], np.maximum(a, b)[close]
+    # in order of the later witness, so that each earlier one is decided
+    order = np.argsort(later, kind="stable")
+    kept = [True] * n
+    for u, w in zip(first[order].tolist(), later[order].tolist()):
+        if kept[u]:
+            kept[w] = False
+    return tuple([w for w, keep in zip(ws, kept) if keep][:DEDUP_CAP])
+
+
 def _check_budget(seeds: int, iters: int, tol_tangency: float) -> None:
     # the multistart budget of the tangency search, checked before any draw
     sampling.check_positive("seeds", seeds)
@@ -266,21 +302,8 @@ def search_tangency_locus(f: RealPolynomialMap, eps: float, *,
         made = [w for w in _make_witnesses(f, X, eps, tol_tangency)
                 if w.sigma < tol_tangency]
 
-    def dedup(ws):
-        # greedy by |f|: keep a witness beyond DEDUP_RADIUS of all kept ones
-        ws = sorted(ws, key=lambda w: w.f_norm)
-        kept = []
-        pts = np.empty((min(len(ws), 512), f.n))
-        for w in ws:
-            if np.all(np.linalg.norm(pts[:len(kept)] - w.point, axis=1) > DEDUP_RADIUS):
-                pts[len(kept)] = w.point
-                kept.append(w)
-            if len(kept) >= 512:
-                break
-        return tuple(kept)
-
-    return LocusSearchResult(dedup([w for w in made if not w.near_critical]),
-                             dedup([w for w in made if w.near_critical]),
+    return LocusSearchResult(_dedup([w for w in made if not w.near_critical]),
+                             _dedup([w for w in made if w.near_critical]),
                              attempted=len(X), converged=len(made))
 
 

@@ -314,19 +314,43 @@ def test_min_norm_step_takes_pinv_bits_where_rows_are_dependent():
 
 
 def test_min_norm_step_batch_equals_single_rows():
+    # 8 x 9 and 9 x 9 are H_POLY's tangency and level systems; numpy sums
+    # a lone run of 8 or more terms pairwise, so a batch of one must not
+    # reduce over its 9 columns in a single lane
     rng = np.random.default_rng(6)
-    A = rng.standard_normal((9, 5, 6))
-    A[3, 4] = A[3, 1]
-    A[7] = 0.0
-    R = rng.standard_normal((9, 5))
-    D = _min_norm_step(A, R)
-    for k in range(len(A)):
-        assert np.array_equal(D[k], _min_norm_step(A[k:k + 1], R[k:k + 1])[0])
+    for m, k in [(5, 6), (8, 9), (9, 9)]:
+        A = rng.standard_normal((9, m, k))
+        A[3, 4] = A[3, 1]
+        A[7] = 0.0
+        R = rng.standard_normal((9, m))
+        D = _min_norm_step(A, R)
+        for j in range(len(A)):
+            assert np.array_equal(D[j], _min_norm_step(A[j:j + 1], R[j:j + 1])[0])
+        assert np.array_equal(D[2:6], _min_norm_step(A[2:6], R[2:6]))
+
+
+@pytest.mark.parametrize("m, k", [(2, 3), (3, 3), (5, 6), (8, 9), (9, 9), (4, 10)])
+def test_min_norm_step_matches_pinv_on_ill_conditioned_rows(m, k):
+    # full row rank with condition numbers 1e4 to 1e7 at scales 1e-3 to
+    # 1e3: the step's error stays within a few units of rounding times
+    # the condition number (about 3e-16 times it for this kernel and for a
+    # Householder QR)
+    rng = np.random.default_rng(m * 100 + k)
+    count = 64
+    U = np.linalg.qr(rng.standard_normal((count, m, m)))[0]
+    V = np.linalg.qr(rng.standard_normal((count, k, m)))[0]
+    cond = 10.0 ** rng.uniform(4.0, 7.0, (count, 1, 1))
+    s = cond ** np.linspace(0.0, 1.0, m) * 10.0 ** rng.uniform(-3.0, 3.0, (count, 1, 1))
+    A = (U * s) @ V.transpose(0, 2, 1)
+    R = rng.standard_normal((count, m))
+    D, P = _min_norm_step(A, R), pinv_step(A, R)
+    err = np.max(np.abs(D - P), axis=1) / np.max(np.abs(P), axis=1)
+    assert np.all(err <= 1e-14 * cond[:, 0, 0])
 
 
 def test_fiber_newton_takes_no_pinv_step(monkeypatch):
     # FAILING_MAP's Jacobian rows (y, x, 2z) and (1, 0, 0) are independent
-    # off the x-axis, so every step of a fiber sample runs on the QR path
+    # off the x-axis, so every step of a fiber sample runs on Gram-Schmidt
     pinv_rows = []
     pinv = np.linalg.pinv
 

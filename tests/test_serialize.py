@@ -78,3 +78,24 @@ def test_dumps_takes_only_str_keys(key):
     assert reference({key: 0}) == '{\n  "%s": 0\n}\n' % json.dumps(key)
     with pytest.raises(TypeError):
         dumps({key: 0})
+
+
+_ROWS = [[0.1, -0.0, 2.5e-310], [1.0, math.nan, 3.0], [math.inf], [-math.inf, 0.5], [],
+         [1, 2.0], [True, 0.25], [False], [1.7976931348623157e308, 1.7976931348623157e308],
+         [np.float64(0.5), 1.5], [[0.5, 1.5], [2.5]]]
+
+
+@pytest.mark.parametrize("doc", [
+    _ROWS,
+    [row for row in _ROWS if row and all(type(v) is float for v in row)],
+    [[0.1, 0.2, 0.3], [-0.0, 4.0, 5e-324]],
+    [[0.1, 0.2], []],
+    {"points": [[0.1, 0.2], [0.3, 0.4]], "labels": [0, 1], "row": [0.1, -0.0],
+     "mixed": [0.1, 1], "bools": [0.1, True], "flags": [[True], [0.5]]},
+    tuple(tuple(row) for row in _ROWS if isinstance(row, list)),
+])
+def test_dumps_writes_float_rows_as_json_does(doc):
+    # float lists and lists of them take one join per row; everything
+    # else, non-finite floats included, keeps the general walk
+    expected = json.dumps(_finite(doc), indent=2, ensure_ascii=False) + "\n"
+    assert dumps(doc) == expected

@@ -28,8 +28,9 @@ from milnorscope import (
 from milnorscope import sampling
 from milnorscope.fiber import NEWTON_TOL, newton_batch
 from milnorscope.realpoly import minors_exact
-from milnorscope.transversality import (_certify, _fnorm, _matrices,
-                                        _normalized, _sigma_min, _tangency_system)
+from milnorscope.transversality import (DEDUP_RADIUS, TangencyWitness, _certify, _dedup,
+                                        _fnorm, _matrices, _normalized, _sigma_min,
+                                        _tangency_system)
 
 FAILING_MAP = parse_real_map("(x*y + z^2, x) vars x,y,z")
 G_MIXED = parse_mixed("z1 z1~ + z2^2 z2~")
@@ -202,6 +203,67 @@ def test_search_deduplicates():
     pts = [w.point for w in res.witnesses]
     for a, b in itertools.combinations(pts, 2):
         assert np.linalg.norm(a - b) > 1e-4
+
+
+def dedup_loop(ws):
+    """The reference for `_dedup`: greedy by |f| against every kept witness."""
+    ws = sorted(ws, key=lambda w: w.f_norm)
+    kept = []
+    pts = np.empty((min(len(ws), 512), len(ws[0].point) if ws else 0))
+    for w in ws:
+        if np.all(np.linalg.norm(pts[:len(kept)] - w.point, axis=1) > DEDUP_RADIUS):
+            pts[len(kept)] = w.point
+            kept.append(w)
+        if len(kept) >= 512:
+            break
+    return tuple(kept)
+
+
+def _witnesses(points, f_norms):
+    return [TangencyWitness(point=np.array(x, dtype=float), eps=1.0, sigma=0.0,
+                            sigma_grad=1.0, f_norm=float(fn), dist_v_estimate=0.0,
+                            near_critical=False)
+            for x, fn in zip(points, f_norms)]
+
+
+def _dedup_cases():
+    rng = np.random.default_rng(8)
+    r = DEDUP_RADIUS
+    # clusters of near duplicates and points about DEDUP_RADIUS apart along
+    # any one coordinate, in 3 and in 9 dimensions (where numpy sums a row
+    # pairwise); ties in |f| and a chain a, b, c with b within reach of both
+    for dim in (3, 9):
+        centers = rng.uniform(-1, 1, (20, dim))
+        pts = [c + rng.normal(0, 1e-6, dim) for c in centers for _ in range(6)]
+        for c in centers[:8]:
+            for axis in range(dim):
+                for gap in (0.5 * r, r * (1 - 1e-15), r, r * (1 + 1e-15), 1.5 * r, 2 * r):
+                    e = np.zeros(dim)
+                    e[axis] = gap
+                    pts.append(c + e)
+        for step in (0.6 * r, 0.9 * r):
+            pts += [centers[9] + np.eye(dim)[0] * k * step for k in range(5)]
+        pts = np.array(pts)
+        yield pts, rng.permutation(len(pts)) % 17          # many ties
+        yield pts, rng.uniform(0, 1, len(pts))
+        yield pts, np.zeros(len(pts))                      # the input order
+        flat = pts.copy()
+        flat[:, 0] = 0.25                                  # one sweep window
+        yield flat, rng.uniform(0, 1, len(pts))
+    # more than 512 distinct witnesses, with duplicates mixed in
+    many = sampling.sphere_points(3, 700, 1.0, 2)
+    many = np.vstack([many, many[:100] + 1e-7])
+    yield many, rng.uniform(0, 1, len(many))
+    yield many[:600], np.zeros(600)
+    yield many[:1], [0.0]
+    yield many[:0], []
+
+
+def test_dedup_equals_the_greedy_loop():
+    for pts, f_norms in _dedup_cases():
+        ws = _witnesses(pts, f_norms)
+        got, want = _dedup(ws), dedup_loop(ws)
+        assert [id(w) for w in got] == [id(w) for w in want]
 
 
 # ----------------------------------------------------------------------
