@@ -168,13 +168,13 @@ def _min_norm_step(A: np.ndarray, R: np.ndarray) -> np.ndarray:
     if m > k:
         return _pinv_step(A, R)
     lanes = 2 if n == 1 else n
-    # Q holds the rows of A until Gram-Schmidt replaces each by its unit
-    # row, y holds R until forward substitution turns it into L^{-1} R,
-    # and d is the diagonal of L
-    Q = np.empty((m, k, lanes))
-    Q[...] = A.transpose(1, 2, 0)
-    y = np.empty((m, lanes))
-    y[...] = R.T
+    # row i of Q holds row i of A and, as coordinate k, R_i; Gram-Schmidt
+    # turns the first k coordinates into the unit row and, by the same
+    # projections and scaling, coordinate k into y_i of L y = R; d is the
+    # diagonal of L
+    Q = np.empty((m, k + 1, lanes))
+    Q[:, :k] = A.transpose(1, 2, 0)
+    Q[:, k] = R.T
     d = np.empty((m, lanes))
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         for i in range(m):
@@ -182,13 +182,11 @@ def _min_norm_step(A: np.ndarray, R: np.ndarray) -> np.ndarray:
             if i:
                 for _ in range(2):
                     # one pass: row i of L gains c, and y_i loses c . y
-                    c = np.add.reduce(Q[:i] * v, axis=1)
+                    c = np.add.reduce(Q[:i, :k] * v[:k], axis=1)
                     v = v - np.add.reduce(c[:, None] * Q[:i], axis=0)
-                    y[i] -= np.add.reduce(c * y[:i], axis=0)
-            d[i] = np.sqrt(np.add.reduce(v * v, axis=0))
+            d[i] = np.sqrt(np.add.reduce(v[:k] * v[:k], axis=0))
             np.divide(v, d[i], out=Q[i])
-            y[i] /= d[i]
-        D = np.add.reduce(y[:, None] * Q, axis=0).T[:n]
+        D = np.add.reduce(Q[:, k, None] * Q[:, :k], axis=0).T[:n]
         d = d.T[:n]
         full = d.min(axis=1) > 1e-8 * d.max(axis=1)
     if not full.all():

@@ -8,7 +8,7 @@ the smallest singular value of the row-normalised (p+1) x n matrix.
 Its zero set is located by multistart Gauss-Newton on the row-normalised
 Fritz John system (`_tangency_system`).  A continuation along that zero
 set toward the zero set of f solves the same system with one more row,
-log(|f| / t) = 0 (its level t), for geometrically falling levels t;
+|f| / t - 1 = 0 (its level t), for geometrically falling levels t;
 it either certifies a sequence of tangency points with |f| shrinking to
 zero (transversality fails) or stops with a positive margin (it holds at
 the given search budget).  The minimum of |f| on the sphere comes from
@@ -127,11 +127,14 @@ def _tangency_system(f: RealPolynomialMap, eps: float, t: float | None = None):
     + w_{p+1} I / eps (H_i the Hessian of f_i); the w-block is M^T.  A
     gradient row whose norm overflows makes R NaN.
 
-    A level t adds the row log(|f(x)| / t), whose zeros are the tangency
+    A level t adds the row |f(x)| / t - 1, whose zeros are the tangency
     points at the level |f| = t (square for p = 2).  The row's x-gradient
-    is J^T f / |f|^2, from the Jacobian J the M block already evaluates,
-    and its w entries are zero; it is not finite where |f| overflows or
-    vanishes.
+    is J^T f / (|f| t), from the Jacobian J the M block already evaluates,
+    and its w entries are zero; the row is not finite where |f| overflows,
+    and its gradient is not where |f| vanishes.  Along the tangency locus
+    |f| falls like a power of the distance to V, so the row is linear or
+    convex there and Newton from above moves monotonically onto the level;
+    log(|f| / t) is concave there, and its full steps overshoot.
     """
     n, p = f.n, f.p
 
@@ -147,7 +150,7 @@ def _tangency_system(f: RealPolynomialMap, eps: float, t: float | None = None):
              (np.sum(X * X, axis=1, keepdims=True) - eps ** 2) / (2 * eps ** 2),
              (np.sum(w * w, axis=1, keepdims=True) - 1.0) / 2.0]
         if t is not None:
-            R.append(np.log(_fnorm(f, X) / t)[:, None])
+            R.append((_fnorm(f, X) / t - 1.0)[:, None])
         return np.concatenate(R, axis=1)
 
     def jacobian(Y):
@@ -164,7 +167,8 @@ def _tangency_system(f: RealPolynomialMap, eps: float, t: float | None = None):
         A[:, n + 1, n:] = w
         if t is not None:
             F = f.eval_many(X)
-            A[:, n + 2, :n] = np.sum(F[:, :, None] * J, axis=1) / np.sum(F * F, axis=1)[:, None]
+            scale = np.linalg.norm(F, axis=1) * t
+            A[:, n + 2, :n] = np.sum(F[:, :, None] * J, axis=1) / scale[:, None]
         return A
 
     return residual, jacobian

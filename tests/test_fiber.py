@@ -7,7 +7,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.sparse import coo_matrix
 from scipy.sparse.csgraph import connected_components
@@ -164,6 +164,8 @@ def inflation_cases(draw):
 
 @settings(max_examples=300, deadline=None)
 @given(inflation_cases())
+# t = 1e-315 is subnormal: log t holds about 8 digits, not the 12 tested
+@example((RadialWeights(1, (1,)), [1e290 + 0j], 1e-25))
 def test_inflate_lands_on_the_sphere_at_every_radius(case):
     params, z, eps = case
     t, zs = inflate_to_sphere(params, z, eps)
@@ -173,8 +175,8 @@ def test_inflate_lands_on_the_sphere_at_every_radius(case):
     assert abs(radius - eps) <= 1e-11 * eps
     log_t = math.log(t)
     for p, w, ws in zip(params.weights, z, zs.tolist()):
-        # a subnormal or underflowed coordinate holds too few bits to test
-        if abs(w) >= 2.3e-308 and abs(ws) >= 2.3e-308:
+        # a subnormal or underflowed t or coordinate holds too few bits to test
+        if t >= 2.3e-308 and abs(w) >= 2.3e-308 and abs(ws) >= 2.3e-308:
             moved = math.log(abs(ws)) - math.log(abs(w))
             assert moved == pytest.approx(p * log_t, rel=1e-12, abs=1e-12 * (
                 1.0 + abs(math.log(abs(w))) + abs(math.log(abs(ws)))))

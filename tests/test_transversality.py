@@ -25,12 +25,12 @@ from milnorscope import (
     special_family_minor,
     tangency_minors_exact,
 )
-from milnorscope import sampling
+from milnorscope import sampling, transversality
 from milnorscope.fiber import NEWTON_TOL, newton_batch
 from milnorscope.realpoly import minors_exact
-from milnorscope.transversality import (DEDUP_RADIUS, TangencyWitness, _certify, _dedup,
-                                        _fnorm, _matrices, _normalized, _sigma_min,
-                                        _tangency_system)
+from milnorscope.transversality import (DEDUP_RADIUS, TOL_TANGENCY, TOL_V, TangencyWitness,
+                                        _build_sequence, _certify, _dedup, _fnorm, _matrices,
+                                        _normalized, _sigma_min, _tangency_system)
 
 FAILING_MAP = parse_real_map("(x*y + z^2, x) vars x,y,z")
 G_MIXED = parse_mixed("z1 z1~ + z2^2 z2~")
@@ -361,14 +361,21 @@ def test_tangency_residual_is_nan_where_a_gradient_norm_overflows():
 
 
 def test_level_solve_keeps_non_finite_starts_without_a_warning():
-    # the level row log(|f|/t) is -inf on V and not finite where |f|
-    # overflows; the solver leaves such a start where it is, silently
+    # on V the level row |f|/t - 1 is -1, finite, but its Jacobian row is
+    # 0/0, so the start is never tried; where |f| overflows the row is not
+    # finite.  The solver leaves either start where it is, silently
     big = parse_real_map("(x^300*y + z^2, x) vars x,y,z")
-    for f, x in ((FAILING_MAP, [0.0, 1.0, 0.0]), (big, [8.0, 0.5, 0.0])):
+    for f, x, on_v in ((FAILING_MAP, [0.0, 1.0, 0.0], True), (big, [8.0, 0.5, 0.0], False)):
         Y = np.array([x + [0.6, 0.0, 0.8]])
         system = _tangency_system(f, float(np.linalg.norm(x)), 1e-3)
         Z, rn = newton_batch(*system, Y, 10)
-        assert np.array_equal(Z, Y) and not np.isfinite(rn[0])
+        assert np.array_equal(Z, Y) and np.isfinite(rn[0]) == on_v
+        if on_v:
+            residual, jacobian = system
+            with np.errstate(invalid="ignore"):
+                row = jacobian(Y)[0, -1]
+            assert residual(Y)[0, -1] == -1.0
+            assert np.all(np.isnan(row[:3])) and np.all(row[3:] == 0.0)
 
 
 def test_tangency_solve_batch_equals_single_rows():
@@ -400,6 +407,57 @@ def test_certify_batch_equals_single_rows():
         for name in ("eps", "sigma", "sigma_grad", "f_norm", "dist_v_estimate",
                      "near_critical"):
             assert getattr(b, name) == getattr(s, name), name
+
+
+def continue_counted(monkeypatch, eps):
+    """FAILING_MAP's certified sequence at eps rebuilt by `_build_sequence`
+    from its first witness, with the level t and the Jacobian evaluations
+    of each level solve."""
+    report = falsify_transversality(FAILING_MAP, eps)
+    assert report.verdict is TransversalityVerdict.FAILS
+    levels = []
+
+    def counted(f, radius, t=None):
+        residual, jacobian = _tangency_system(f, radius, t)
+        levels.append([t, 0])
+
+        def counting(Y):
+            levels[-1][1] += 1
+            return jacobian(Y)
+        return residual, counting
+
+    monkeypatch.setattr(transversality, "_tangency_system", counted)
+    seq = _build_sequence(FAILING_MAP, eps, report.witnesses[0], TOL_TANGENCY, TOL_V,
+                          report.margin, np.random.default_rng(0))
+    assert seq is not None and len(levels) == len(seq) - 1
+    return seq, levels
+
+
+@pytest.mark.parametrize("eps", [1.0, 0.25])
+def test_continuation_reaches_each_level_in_at_most_3_newton_steps(monkeypatch, eps):
+    # |f| falls linearly along the arc z = 0, and so does the level row
+    # |f|/t - 1: a full Newton step from the last level lands on the next
+    _, levels = continue_counted(monkeypatch, eps)
+    assert all(count <= 3 for _, count in levels), levels
+
+
+@pytest.mark.parametrize("eps", [1.0, 0.25])
+def test_certified_witnesses_sit_on_their_level(monkeypatch, eps):
+    seq, levels = continue_counted(monkeypatch, eps)
+    for w, (t, _) in zip(seq[1:], levels):
+        assert abs(w.f_norm / t - 1.0) <= 1e-9
+
+
+@pytest.mark.xfail(strict=True, reason="program defect: `_normalized` treats only gradient "
+                   "rows below the absolute floor 1e-300 as vanishing, so two points of "
+                   "Sigma (row norms 0.0625 and about 1e-32) read sigma_grad = 1.0 and are "
+                   "listed as regular witnesses; ROADMAP items 4 and 9")
+def test_search_lists_no_point_of_sigma_as_a_regular_witness():
+    f = parse_mixed("z1^2 z1~^2 - z2^2 z2~^2 + z3^3 z3~").to_real_map()
+    locus = search_tangency_locus(f, 0.25, seeds=128, iters=300, rng_seed=5)
+    s = np.linalg.svd(f.grad_many(np.array([w.point for w in locus.witnesses])),
+                      compute_uv=False)
+    assert np.all(s[:, -1] > 1e-8 * s[:, 0])
 
 
 # ----------------------------------------------------------------------
