@@ -25,7 +25,7 @@ import time
 import numpy as np
 
 from . import __version__, serialize
-from .fiber import _phase, _term_sum, fiber_compare, inflate_to_sphere, rplus_flow, sample_fiber
+from .fiber import fiber_compare, inflate_to_sphere, phase, rplus_flow, sample_fiber
 from .mixed import DiagonalMixedPolynomial, complex_to_reals, reals_to_complex
 from .parsing import ParseError, parse_mixed, parse_real_map
 from .realpoly import RealPolynomialMap
@@ -218,7 +218,11 @@ def cmd_flow(args) -> int:
     if not all(t > 0 and math.isfinite(t) for t in ts):
         raise ParseError("flow times must be positive and finite", 0)
     base_val = obj.eval(z)
-    base_scale = _term_sum(obj, z)
+    try:  # psi(t . z) = t^degree psi(z): one phase per orbit, null only on V
+        unit = phase(obj, z)
+        orbit_phase = [unit.real, unit.imag]
+    except ValueError:
+        orbit_phase = None
     samples = []
     for t in ts:
         zt = rplus_flow(params, t, z)
@@ -230,7 +234,7 @@ def cmd_flow(args) -> int:
             "point": serialize.floatlist(complex_to_reals(zt)),
             "value": [val.real, val.imag],
             "equivariance_residual": abs(val - scale * base_val),
-            "phase": _phase(val, scale * base_scale),
+            "phase": orbit_phase,
         })
     doc = _tool_header("flow", text)
     doc["flow_params"] = serialize.flow_params_json(params)

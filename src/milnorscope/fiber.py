@@ -26,7 +26,6 @@ diagonal mixed polynomial and satisfies psi(t . z) = t^degree psi(z).
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 
@@ -39,15 +38,16 @@ from .structure import RadialWeights
 
 _LN2 = math.log(2.0)
 _LOG_MAX = math.log(np.finfo(float).max)
+_TINY = np.finfo(float).tiny
 
 NEWTON_TOL = 1e-10
 NEWTON_MAX_ITER = 100
 MIN_RELIABLE_POINTS = 10
 
 
-def _flow_point(params: RadialWeights, z) -> np.ndarray:
+def _flow_point(n: int, z) -> np.ndarray:
     z = np.asarray(z, dtype=complex)
-    if z.shape != (len(params.weights),):
+    if z.shape != (n,):
         raise ValueError("point has wrong dimension")
     if not np.all(np.isfinite(z)):
         raise ValueError("point must be finite")
@@ -55,11 +55,28 @@ def _flow_point(params: RadialWeights, z) -> np.ndarray:
 
 
 def rplus_flow(params: RadialWeights, t: float, z) -> np.ndarray:
-    """Apply the flow: multiply each coordinate z_j by t^{p_j} (t > 0)."""
+    """Apply the flow: multiply each coordinate z_j by t^{p_j} (t > 0).
+
+    Where every t^{p_j} is a normal float, z is multiplied by them.  Else,
+    with t = m 2^e, sqrt(1/2) <= m < sqrt(2), and m^{p_j} = r 2^k, 1 <= r < 2
+    (a normal float for p_j <= 2044), the parts of z_j are scaled by
+    2^(k + e p_j), exactly unless the result is subnormal, then multiplied
+    by r.  Either way a normal result is rounded once, and a coordinate
+    leaves the float range only where t^{p_j} z_j does.
+    """
     sampling.check_positive("t", t)
-    z = _flow_point(params, z)
-    factors = np.array([np.float64(t) ** p for p in params.weights])
-    return z * factors
+    z = _flow_point(len(params.weights), z)
+    with np.errstate(over="ignore"):
+        factors = [np.float64(t) ** p for p in params.weights]
+        if _TINY <= min(factors) and max(factors) < math.inf:
+            return z * np.array(factors)
+        m, e = math.frexp(t)
+        if m * m < 0.5:
+            m, e = 2.0 * m, e - 1
+        r, k = np.frexp([np.float64(m) ** p for p in params.weights])
+        x = np.ldexp(np.ascontiguousarray(z).view(float),
+                     np.repeat(k - 1 + e * np.array(params.weights), 2))
+        return (x * np.repeat(2.0 * r, 2)).view(complex)
 
 
 def _log_polar(w: complex) -> tuple[float, complex]:
@@ -83,7 +100,7 @@ def inflate_to_sphere(params: RadialWeights, z, eps: float) -> tuple[float, np.n
     and z != 0, and t = e^s is rounded to the float range (0.0 or inf).
     """
     sampling.check_positive("eps", eps)
-    z = _flow_point(params, z)
+    z = _flow_point(len(params.weights), z)
     polar = [_log_polar(w) if w else None for w in z.tolist()]
     parts = [(p, lp[0]) for p, lp in zip(params.weights, polar) if lp]
     if not parts:
@@ -105,34 +122,29 @@ def inflate_to_sphere(params: RadialWeights, z, eps: float) -> tuple[float, np.n
     return (math.exp(s) if s <= _LOG_MAX else math.inf), zs
 
 
-def _term_sum(psi: DiagonalMixedPolynomial, z) -> float:
-    """S(z) = sum_j |lambda_j| |z_j|^(a_j + b_j); S(t . z) = t^degree S(z)."""
-    z = np.asarray(z, dtype=complex)
-    with np.errstate(over="ignore"):
-        return float(sum(abs(t.coeff.to_complex()) * np.abs(z[t.j - 1]) ** t.degree
-                         for t in psi.terms))
-
-
-def _phase(w: complex, scale: float) -> list[float] | None:
-    """(Re w, Im w)/|w| for w = psi(z), scale = S(z); None where the terms
-    cancel to |w| <= 1e-12 S(z), on V up to rounding at every radius."""
-    # the same hypot as Python's complex abs, which can raise
-    # OverflowError on overflowed parts
-    mag = np.hypot(w.real, w.imag)
-    return [w.real / mag, w.imag / mag] if mag > 1e-12 * scale else None
-
-
 def phase(psi: DiagonalMixedPolynomial, z) -> complex:
-    """psi(z)/|psi(z)|; undefined where |psi(z)| <= 1e-12 S(z) or on overflow."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        w = psi.eval(z)
-    if not cmath.isfinite(w):
-        raise ValueError(f"phase undefined: psi(z) = {w!r} is not finite (overflow)")
-    unit = _phase(w, _term_sum(psi, z))
-    if unit is None:
+    """psi(z)/|psi(z)|, in logs, so the same at every point of an R+ orbit.
+
+    Term j is e^{L_j} u_j, |u_j| = 1, L_j = log|lambda_j| + (a_j + b_j) log|z_j|;
+    dividing by max_j e^{L_j} moves neither the phase nor |psi(z)|/S(z),
+    S(z) = sum_j e^{L_j}, and nothing overflows or underflows.  Raises
+    ValueError where |psi(z)| <= 1e-12 S(z): on V up to tolerance.
+    """
+    zs = _flow_point(psi.n, z).tolist()
+    terms = []
+    for t in psi.terms:
+        w, lam = zs[t.j - 1], t.coeff.to_complex()
+        if w and lam:
+            (log_w, u), r = _log_polar(w), abs(lam)
+            terms.append((math.log(r) + t.degree * log_w,
+                          lam / r * u ** t.a * u.conjugate() ** t.b))
+    top = max((L for L, _ in terms), default=0.0)
+    scales = [math.exp(L - top) for L, _ in terms]
+    w = sum(s * unit for s, (_, unit) in zip(scales, terms))
+    if not abs(w) > 1e-12 * sum(scales):
         raise ValueError("phase undefined: |psi(z)| <= 1e-12 sum_j |lambda_j| "
                          "|z_j|^(a_j+b_j), the point lies on V up to tolerance")
-    return complex(*unit)
+    return w / abs(w)
 
 
 # ----------------------------------------------------------------------
@@ -450,17 +462,17 @@ def _mst(P: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     joins), and updates the frontier in one exact pass; so does a
     component whose distances to the frontier fit in one block of
     ROW_BLOCK.  A larger component computes no distance when it joins:
-    each frontier component (a single point is one) takes the squared
-    distance between its bounding box and the joining one's as a lower
-    bound, where that lies below the distance of one of its points.  Each
-    frontier component keeps one pending bound, the smallest over the tree
-    components it has not been measured against.  While the smallest
-    pending bound lies below every exact distance, its component is
-    measured exactly against that tree component and its bound moves on
-    to the next (Bentley and Friedman 1978 prune Prim this way); then the
-    point with the smallest exact distance joins, and its tree neighbor
-    is found inside the component its distance came from.  With no short
-    pair this is the point-by-point frontier Prim.
+    every component (a single point is one) takes the squared distance
+    between its bounding box and the joining one's as a lower bound (those
+    in the tree are dropped when they surface).  Each frontier component
+    keeps one pending bound, the smallest over the tree components it has
+    not been measured against.  While the smallest pending bound lies
+    below every exact distance, its component is measured exactly against
+    that tree component and its bound moves on to the next (Bentley and
+    Friedman 1978 prune Prim this way); then the point with the smallest
+    exact distance joins, and its tree neighbor is found inside the
+    component its distance came from.  With no short pair this is the
+    point-by-point frontier Prim.
 
     Every squared distance and bound is summed over the coordinates in
     order, so the forest, the frontier and the neighbor search agree bit
@@ -553,14 +565,7 @@ def _mst(P: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
                 # too many distances for one block: bound them instead
                 e = int(rank[g])
                 tree.append(e)
-                r = rank[comp[idx]]
-                b = _box_sq(lo, hi, lo[:, e, None], hi[:, e, None])
-                # only components with a point whose distance lies above
-                # the bound could come closer
-                useful = np.zeros(len(roots), dtype=bool)
-                useful[r[b[r] < d]] = True
-                b[~useful] = np.inf
-                np.minimum(bound, b, out=bound)
+                np.minimum(bound, _box_sq(lo, hi, lo[:, e, None], hi[:, e, None]), out=bound)
                 pending = float(bound.min())
                 continue
             di, src = _nearest_sq(Q, grp), g
@@ -576,16 +581,14 @@ def _persistent_count(edges: np.ndarray, floor: float, start: float,
     """Most persistent component count and a radius inside its plateau.
 
     Merging the MST edges in order, the count N - k holds for radii in
-    [e_k, e_{k+1}); the count whose interval is longest in log scale
-    wins (the first one on a tie), with the final interval capped at the
-    cloud diameter.  Radii below `start` (the sampling scale) describe
-    gaps between individual samples rather than structure and are not
-    measured; since the smallest MST edge never exceeds the median
-    nearest-neighbor distance, the all-separate state in particular never
-    competes.  Edge lengths below `floor` (duplicates) are clamped.
-    The spans are compared as ratios hi/lo; math.log, which is monotone,
-    is taken only where the ratio lies within 1e-12 of the largest, a
-    margin wider than any two ratios whose logs round alike.
+    [e_k, e_{k+1}); the count whose interval is longest in log scale (the
+    largest ratio e_{k+1}/e_k) wins, the first one on a tie, with the
+    final interval capped at the cloud diameter.  Radii below `start` (the
+    sampling scale) describe gaps between individual samples rather than
+    structure and are not measured; since the smallest MST edge never
+    exceeds the median nearest-neighbor distance, the all-separate state
+    in particular never competes.  Edge lengths below `floor` (duplicates)
+    are clamped.
     """
     n = len(edges) + 1
     e = np.maximum(edges, floor)
@@ -594,14 +597,10 @@ def _persistent_count(edges: np.ndarray, floor: float, start: float,
     lefts = np.maximum(np.concatenate([[floor], uniq]), start)
     rights = np.concatenate([uniq, [top]])
     ratio = np.where(rights > lefts, rights / lefts, 0.0)
-    best = (0.0, 1, top)
-    for k in np.flatnonzero(ratio >= ratio.max() * (1 - 1e-12)).tolist():
-        if ratio[k] > 1.0:
-            span = math.log(ratio[k])
-            if span > best[0]:
-                best = (span, n - int(mult[:k].sum()),
-                        math.sqrt(float(lefts[k]) * float(rights[k])))
-    return best[1], best[2]
+    k = int(ratio.argmax())
+    if not ratio[k] > 1.0:
+        return 1, top
+    return n - int(mult[:k].sum()), math.sqrt(float(lefts[k]) * float(rights[k]))
 
 
 def _cut_labels(a: np.ndarray, b: np.ndarray, length: np.ndarray,

@@ -16,8 +16,6 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd, lcm
 
-import numpy as np
-
 from .mixed import ComplexRational, DiagonalMixedPolynomial
 
 
@@ -181,9 +179,6 @@ def _critical_set(psi: DiagonalMixedPolynomial,
 # discriminant
 
 
-_ANGLE_TOL = 1e-9
-
-
 @dataclass(frozen=True)
 class DiscriminantComponent:
     """Image of one critical subspace: a ray or full line through 0.
@@ -197,20 +192,6 @@ class DiscriminantComponent:
     class_indices: tuple[int, ...]
     direction: ComplexRational
     kind: str  # "ray" or "full_line"
-
-    def contains_value(self, w: complex) -> bool:
-        """Whether w lies on this component up to the angle `_ANGLE_TOL`; w must be finite."""
-        if not (math.isfinite(w.real) and math.isfinite(w.imag)):
-            raise ValueError(f"value must be finite, got {w!r}")
-        d = complex(float(self.direction.re), float(self.direction.im))
-        r = abs(w) * abs(d)
-        if r == 0:
-            return True
-        cross = w.real * d.imag - w.imag * d.real
-        dot = w.real * d.real + w.imag * d.imag
-        if abs(cross) > _ANGLE_TOL * r:
-            return False
-        return self.kind == "full_line" or dot >= -_ANGLE_TOL * r
 
 
 @dataclass(frozen=True)
@@ -504,15 +485,3 @@ def analyze(psi: DiagonalMixedPolynomial) -> StructureReport:
         radial_weights_error=rw_err,
         verdict=_verdict(psi, part, disc, cap[0], special),
     )
-
-
-def sample_critical_subspace(psi: DiagonalMixedPolynomial,
-                             subspace: CriticalSubspace,
-                             count: int, rng: np.random.Generator) -> np.ndarray:
-    """Random complex points on a critical subspace (free coords with |Re|, |Im| < 2)."""
-    Z = np.zeros((count, psi.n), dtype=complex)
-    for j in subspace.free_indices:
-        re = rng.uniform(-2.0, 2.0, size=count)
-        im = rng.uniform(-2.0, 2.0, size=count)
-        Z[:, j - 1] = re + 1j * im
-    return Z

@@ -18,10 +18,12 @@ from milnorscope import (ComplexRational, DiagonalMixedPolynomial, MixedTerm,
                          colinearity_classes, critical_indices,
                          falsify_transversality, fiber_compare,
                          parse_mixed, parse_real_map, radial_weights,
-                         sample_critical_subspace, search_tangency_locus,
+                         search_tangency_locus,
                          special_family_claim_check, special_family_form,
                          special_family_minor, tangency_minors_exact)
 from milnorscope.realpoly import minors_exact
+
+from critical_values import contains_value, sample_critical_subspace
 
 WORKED = parse_mixed("(1+i) z1 z1~ + (-2-i) z2^2 z2~^2 + i z3^2 z3~")
 G_POLY = parse_mixed("z1 z1~ + z2^2 z2~")
@@ -468,7 +470,7 @@ def test_discriminant_sampling():
                 kinds.add(comp.kind)
                 Z = sample_critical_subspace(psi, sub, 500, rng)
                 for v in psi.eval_many(Z):
-                    assert comp.contains_value(complex(v))
+                    assert contains_value(comp, complex(v))
         assert kinds == {"ray", "full_line"}   # the draw covers both shapes
         ok = True
     finally:

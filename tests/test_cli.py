@@ -355,6 +355,25 @@ def test_flow_default_time_grid(capsys):
     assert len(doc["samples"]) == 7
 
 
+def test_flow_phase_survives_underflow(capsys):
+    # psi and every term underflow at z1 = 1e-200; the orbit's phase is 1
+    code, out, _ = run(capsys, ["flow", G, "--point", "1e-200,0,0,0", "--t", "2",
+                                "--no-timing"])
+    assert code == 0
+    assert strict_json(out)["samples"][0]["phase"] == [1.0, 0.0]
+
+
+def test_flow_multiplies_before_it_overflows(capsys):
+    # t^20 = 1e400 is no float, but t^20 z1 = 1e100 is
+    code, out, err = run(capsys, ["flow", "z1 z1~ + z2^20 z2~^20",
+                                  "--point", "1e-300,0,1e-10,0", "--t", "1e20", "--no-timing"])
+    assert (code, err) == (0, "")
+    point = strict_json(out)["samples"][0]["point"]
+    assert point[0] == pytest.approx(1e100, rel=1e-15)
+    assert point[2] == pytest.approx(1e10, rel=1e-15)
+    assert point[1] == point[3] == 0.0
+
+
 def test_flow_phase_null_on_zero_set(capsys):
     code, out, _ = run(capsys, ["flow", "z1 z1~ - z2 z2~", "--point", "1,0,1,0",
                                 "--t", "1,2", "--no-timing"])

@@ -4,10 +4,11 @@ import dataclasses
 import math
 import tracemalloc
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy.sparse import coo_matrix
 from scipy.sparse.csgraph import connected_components
@@ -88,6 +89,38 @@ def test_flow_rejects_bad_input():
         rplus_flow(params, 1.0, [1j])
     with pytest.raises(ValueError, match="point must be finite"):
         rplus_flow(params, 1.0, [complex(math.nan, 0.0), 1j])
+
+
+def test_flow_leaves_the_float_range_only_with_its_product():
+    # t^20 = 1e400 and 1e-400 are no floats; t^20 z_1 is
+    params = RadialWeights(40, (20, 1))
+    up = rplus_flow(params, 1e20, [1e-300, 1e-10])
+    assert up[0] == pytest.approx(1e100, rel=1e-15) and up[1] == pytest.approx(1e10, rel=1e-15)
+    assert rplus_flow(params, 1e-20, [1e300, 1])[0] == pytest.approx(1e-100, rel=1e-15)
+    # a subnormal coordinate is scaled up exactly, also where t^p overflows
+    assert rplus_flow(RadialWeights(1, (1,)), 2.0, [5e-324])[0] == 1e-323
+    assert rplus_flow(RadialWeights(2, (2,)), 2.0 ** 600, [5e-324])[0] == 2.0 ** 126
+    # parts are scaled separately: an overflowed part leaves the other alone
+    out = rplus_flow(RadialWeights(1, (1,)), 1e300, [1e10 - 0.5j])
+    assert (out.real[0], out.imag[0]) == (math.inf, -5e299)
+    assert rplus_flow(RadialWeights(1, (1,)), 1e-300, [1e-30j])[0] == 0j
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 2044), st.integers(-2000, 2000), st.integers(-1000, 1000),
+       st.floats(0.5, 1.0, exclude_max=True))
+@example(2044, 1200, -1000, 0.75)   # t^p alone overflows
+@example(2044, -1200, 1000, 0.75)   # t^p alone underflows
+@example(1100, 1101, -1000, 0.75)   # and t = 2^(1101/1100): 0.5^1100 would underflow too
+def test_flow_matches_the_exact_product(p, k, zexp, mant):
+    """t^p z, with t = 2^(k/p) and z = mant 2^zexp, against the exact
+    rational product, where that is a normal float (weights up to 2044)."""
+    assume(abs(k) <= 1000 * p and abs(k + zexp) <= 1000)
+    t, z = 2.0 ** (k / p), math.ldexp(mant, zexp)
+    exact = float(Fraction(t) ** p * Fraction(z))
+    got = rplus_flow(RadialWeights(p, (p,)), t, [z])[0]
+    assert got.imag == 0.0
+    assert got.real == pytest.approx(exact, rel=4e-16 * (1 + 2 * math.log2(p)))
 
 
 def test_inflate_homogeneous_closed_form():
@@ -194,15 +227,19 @@ def test_phase_values():
 
 
 def test_phase_is_orbit_invariant():
-    params = radial_weights(WORKED)
+    # weights (6, 3, 4), then (2, 1, 1), so that t . z stays a float up to
+    # t = 1e150, where psi(t . z) and its terms leave the float range
+    small = parse_mixed("(1+i) z1 z1~ + (-2-i) z2^2 z2~^2 + i z3^2 z3~^2")
     rng = np.random.default_rng(13)
-    for _ in range(20):
-        z = rng.uniform(-1, 1, 3) + 1j * rng.uniform(-1, 1, 3)
-        if abs(WORKED.eval(z)) < 1e-6:
-            continue
-        p0 = phase(WORKED, z)
-        for t in (0.3, 2.0):
-            assert phase(WORKED, rplus_flow(params, t, z)) == pytest.approx(p0)
+    for psi, ts in ((WORKED, (0.3, 2.0)), (small, (0.3, 2.0, 1e-150, 1e150))):
+        params = radial_weights(psi)
+        for _ in range(20):
+            z = rng.uniform(-1, 1, 3) + 1j * rng.uniform(-1, 1, 3)
+            if abs(psi.eval(z)) < 1e-6:
+                continue
+            p0 = phase(psi, z)
+            for t in ts:
+                assert phase(psi, rplus_flow(params, t, z)) == pytest.approx(p0, rel=1e-12)
 
 
 def test_phase_is_relative_to_the_terms():
@@ -217,10 +254,14 @@ def test_phase_undefined_on_zero_set():
         phase(G_MIXED, [0j, 0j])
 
 
-def test_phase_states_overflow():
-    # |z1|^40 at |z1| = 1e20 leaves float range
-    with pytest.raises(ValueError, match="overflow"):
-        phase(parse_mixed("z1^20 z1~^20 + z2 z2~"), [1e20, 1])
+def test_phase_survives_overflow():
+    # |z1|^40 at |z1| = 1e20 leaves float range; the phase does not
+    assert phase(parse_mixed("z1^20 z1~^20 + z2 z2~"), [1e20, 1]) == 1
+
+
+def test_phase_rejects_non_finite_points():
+    with pytest.raises(ValueError, match="point must be finite"):
+        phase(G_MIXED, [complex(math.inf, 0.0), 1j])
 
 
 # ----------------------------------------------------------------------
@@ -881,6 +922,13 @@ def persistent_count_loop(edges, floor, start, diameter):
         if span > best[0]:
             best = (span, int(c), math.sqrt(lo * hi))
     return best[1], best[2]
+
+
+def test_persistent_count_takes_the_first_of_equal_spans():
+    # counts 3, 2 and 1 hold over [1, 2), [2, 4) and [4, 8): one ratio
+    assert _persistent_count(np.array([1.0, 2.0, 4.0]), 0.5, 1.0, 8.0) == (3, math.sqrt(2.0))
+    # [3, 6) follows a shorter plateau and ties with [6, 12)
+    assert _persistent_count(np.array([2.0, 3.0, 6.0]), 0.5, 2.0, 12.0) == (2, math.sqrt(18.0))
 
 
 def test_persistent_count_matches_the_loop(acceptance_fibers):

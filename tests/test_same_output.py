@@ -106,6 +106,18 @@ def test_decision_fields_keep_only_decisions():
     assert same_output.decision_fields({"eps": 1.0, "points": [[0.5]]}) is None
 
 
+def test_decision_fields_keep_whether_each_phase_is_defined():
+    doc = {"samples": [{"t": 1.0, "phase": [0.6, 0.8]}, {"t": 2.0, "phase": None}]}
+    assert same_output.decision_fields(doc) == {
+        "samples": [{"phase (defined)": True}, {"phase (defined)": False}]}
+    moved = {"samples": [{"t": 1.0, "phase": [0.6, 0.8000000000000002]}, {"t": 2.0, "phase": None}]}
+    flipped = {"samples": [{"t": 1.0, "phase": [0.6, 0.8]}, {"t": 2.0, "phase": [1.0, 0.0]}]}
+    record = {"exit": 0, "stderr": ""}
+    a, b, c = (dict(record, stdout=json.dumps(d)) for d in (doc, moved, flipped))
+    assert field(a, b, decisions=True) is None
+    assert field(a, c, decisions=True) == "stdout.samples[1].phase (defined)"
+
+
 def test_differences_lists_every_leaf_path():
     a = {"samples": [{"phase": None, "t": 1.0}, {"phase": [1.0, 0.0], "t": 2.0}],
          "inflate": [{"point": [0.5, 0.25], "t_star": 2.0}]}

@@ -22,11 +22,12 @@ from milnorscope import (
     parse_mixed,
     radial_weights,
     reals_to_complex,
-    sample_critical_subspace,
     DiscriminantComponent,
     special_family_form,
 )
 from milnorscope import structure
+
+from critical_values import contains_value, sample_critical_subspace
 
 WORKED = "(1+i) z1 z1~ + (-2-i) z2^2 z2~^2 + i z3^2 z3~"
 G_POLY = "z1 z1~ + z2^2 z2~"
@@ -216,13 +217,13 @@ def test_discriminant_single_ray_for_g():
 
 def test_contains_value_geometry():
     ray = DiscriminantComponent((1,), C(1, 1), "ray")
-    assert ray.contains_value(2 + 2j)
-    assert not ray.contains_value(-1 - 1j)
-    assert not ray.contains_value(1 - 1j)
-    assert ray.contains_value(0j)
+    assert contains_value(ray, 2 + 2j)
+    assert not contains_value(ray, -1 - 1j)
+    assert not contains_value(ray, 1 - 1j)
+    assert contains_value(ray, 0j)
     line = DiscriminantComponent((1,), C(1, 1), "full_line")
-    assert line.contains_value(-3 - 3j)
-    assert not line.contains_value(1j)
+    assert contains_value(line, -3 - 3j)
+    assert not contains_value(line, 1j)
 
 
 def test_contains_value_rejects_non_finite_values():
@@ -230,7 +231,7 @@ def test_contains_value_rejects_non_finite_values():
         comp = DiscriminantComponent((1,), C(1), kind)
         for w in (complex(math.nan, 0), complex(math.inf, 0), complex(0, -math.inf)):
             with pytest.raises(ValueError, match="value must be finite"):
-                comp.contains_value(w)
+                contains_value(comp, w)
 
 
 def test_discriminant_sampling_consistency():
@@ -244,7 +245,7 @@ def test_discriminant_sampling_consistency():
             Z = sample_critical_subspace(psi, sub, 500, rng)
             vals = psi.eval_many(Z)
             for w in vals:
-                assert comp.contains_value(complex(w))
+                assert contains_value(comp, complex(w))
 
 
 # ----------------------------------------------------------------------

@@ -20,7 +20,8 @@ job runner fails.
 `--decisions` compares only what a job decides: the exit code and, in
 its JSON, every `verdict`, `aggregate_verdict`, `locus_count`,
 `critical_hits`, `component_count`, `component_counts`, `converged` and
-`singular_count`, and the length of every `witnesses` list.  Floats
+`singular_count`, the length of every `witnesses` list, and whether each
+flow `phase` is null (the flow's on-V decision).  Floats
 that may move in their last bits (points, radii, norms) and stderr are
 not compared; a stdout that is not JSON is compared whole.
 """
@@ -99,13 +100,15 @@ def first_difference(a, b, path: str) -> str | None:
 
 def decision_fields(doc):
     """The parts of a parsed output named by DECISION_KEYS, at their key
-    paths, with each `witnesses` list replaced by its length; None when
-    doc holds none of them."""
+    paths, with each `witnesses` list replaced by its length and each
+    `phase` by whether it is defined; None when doc holds none of them."""
     if isinstance(doc, dict):
         out = {}
         for key, value in doc.items():
             if key == "witnesses":
                 out["witnesses (count)"] = len(value)
+            elif key == "phase":
+                out["phase (defined)"] = value is not None
             elif key in DECISION_KEYS:
                 out[key] = value
             else:
